@@ -11,6 +11,9 @@ Subcommands:
 
 All output is JSON on stdout with sorted keys.  Exit codes: 0 success
 (or tester accept), 1 tester reject / Lipschitz check failure, 2 errors.
+
+``lookups`` fields count the distinct vertices each filter session read
+(its memo's misses), not the filter's lookup calls.
 """
 from __future__ import annotations
 

@@ -76,7 +76,6 @@ class LocalFilterL0:
         self.lo = Fraction(f.lo if lo is None else lo)
         self.scan_budget = scan_budget
         self._values: dict = {}
-        self._scored: dict = {}
         self._matcher = MatchingLCA(
             self._viol_adjacent, seed, encode=graph.canon, budget=match_budget
         )
@@ -89,12 +88,10 @@ class LocalFilterL0:
         return v
 
     def _viol_adjacent(self, v):
-        scored = self._scored.get(v)
-        if scored is None:
-            scored = scan_scored_neighbors(
-                self.graph, self._lookup, self.r, v, budget=self.scan_budget
-            )
-            self._scored[v] = scored
+        # the matcher caches adjacency, so each vertex is scanned once
+        scored = scan_scored_neighbors(
+            self.graph, self._lookup, self.r, v, budget=self.scan_budget
+        )
         return [y for y, _ in scored]
 
     def match_of(self, x):

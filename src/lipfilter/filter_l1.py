@@ -12,21 +12,17 @@ per-round matchings through the seeded matching LCA.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam, PartialFunction
 from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA, greedy_maximal_matching
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET, scan_scored_neighbors
+from .violation import (
+    DEFAULT_SCAN_BUDGET, _violated_pairs, scan_radius, scan_scored_neighbors,
+)
 
 DEFAULT_SLACK = Fraction(1, 100)
-
-# reuse of cached violation scans is skipped when more than this many
-# values moved since the scan; the distance checks would cost more than a
-# rescan
-_REUSE_CHANGE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -78,10 +74,12 @@ class LocalFilterL1:
 
     ``value(x)`` recurses through rounds, resolving each round's matching
     locally; all verdicts, values, and violation scans are memoized so
-    repeated or bulk queries share work.  ``table(t)`` drives the same
-    recursion round by round over the whole domain, which additionally
-    lets finished rounds revalidate cached scans (only vertices near a
-    moved value need rescanning).
+    repeated or bulk queries share work.  Round t scans the round t - 1
+    values at its own radius ``scan_radius(r, tau_t)``.  ``table(t)``
+    drives the same recursion round by round over the whole domain; when
+    it completes a round, it carries each scan forward to the next round
+    unless a value moved within the scan radius, and drops the scans no
+    matching will ask for again.
     """
 
     def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK, r=None,
@@ -92,11 +90,11 @@ class LocalFilterL1:
         self.schedule = make_schedule(f.r if r is None else r, slack)
         self.scan_budget = scan_budget
         self.match_budget = match_budget
-        self._radius = max(0, math.ceil(self.schedule.r) - 1)
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
+        self._radii = {t: scan_radius(self.schedule.r, self.schedule.tau(t))
+                       for t in range(2, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
-        self._scores: dict = {}  # vertex -> {version: [(y, score), ...]}
-        self._changed: dict[int, set] = {}
+        self._scans: dict[int, dict] = {}  # version -> {vertex: [(y, score), ...]}
         self._complete: set[int] = set()
 
     # -- round values ---------------------------------------------------
@@ -117,7 +115,6 @@ class LocalFilterL1:
                 w = self._value(partner, t - 1)
                 delta = self.schedule.delta(t)
                 v = v + delta if w > v else v - delta
-                self._changed.setdefault(t, set()).add(x)
         memo[x] = v
         return v
 
@@ -126,8 +123,18 @@ class LocalFilterL1:
         if m is None:
             tau = self.schedule.tau(t)
 
-            def adjacent(v, _tau=tau, _version=t - 1):
-                return [y for y, s in self._scores_for(v, _version) if s > _tau]
+            def adjacent(v):
+                scans = self._scans.setdefault(t - 1, {})
+                if v not in scans:
+                    scans[v] = scan_scored_neighbors(
+                        self.graph,
+                        lambda y: self._value(y, t - 1),
+                        self.schedule.r,
+                        v,
+                        radius=self._radii[t],
+                        budget=self.scan_budget,
+                    )
+                return [y for y, s in scans[v] if s > tau]
 
             m = MatchingLCA(
                 adjacent,
@@ -138,45 +145,28 @@ class LocalFilterL1:
             self._matchers[t] = m
         return m
 
-    # -- violation scans ------------------------------------------------
+    def _carry(self, s: int, vertices) -> None:
+        """Carry the round s - 1 scans forward once round s is complete.
 
-    def _scores_for(self, v, version: int):
-        """Positive violation scores of v against the round-``version`` table."""
-        ent = self._scores.setdefault(v, {})
-        scored = ent.get(version)
-        if scored is not None:
-            return scored
-        reused = self._try_reuse(ent, v, version)
-        if reused is not None:
-            ent[version] = reused
-            return reused
-        scored = scan_scored_neighbors(
-            self.graph,
-            lambda y, _t=version: self._value(y, _t),
-            self.schedule.r,
-            v,
-            radius=self._radius,
-            budget=self.scan_budget,
+        A scan against round s - 1 still holds against round s when no
+        value within its radius moved, and round s + 1 can use it when it
+        scans at the same radius.  Dropping the round s - 1 scans is safe:
+        completing round s ran match_of on every vertex, so the round-s
+        matcher has cached every adjacency and never asks for them again.
+        """
+        old = self._scans.pop(s - 1)
+        radius = self._radii[s]
+        if self._radii.get(s + 1) != radius:
+            return
+        dirty = set()
+        for c in vertices:
+            if self._tables[s][c] != self._tables[s - 1][c]:
+                dirty.update(
+                    y for y, _ in self.graph.ball(c, radius, budget=self.scan_budget)
+                )
+        self._scans.setdefault(s, {}).update(
+            (v, scored) for v, scored in old.items() if v not in dirty
         )
-        ent[version] = scored
-        return scored
-
-    def _try_reuse(self, ent, v, version):
-        """A scan against an older complete round stays valid while no value
-        within the scan radius has moved since."""
-        for s0 in sorted(ent, reverse=True):
-            if s0 >= version:
-                continue
-            window = range(s0 + 1, version + 1)
-            if any(s not in self._complete for s in window):
-                return None
-            moved = [c for s in window for c in self._changed.get(s, ())]
-            if len(moved) > _REUSE_CHANGE_CAP:
-                return None
-            if all(self.graph.dist(v, c) > self._radius for c in moved):
-                return ent[s0]
-            return None
-        return None
 
     # -- public API -----------------------------------------------------
 
@@ -188,7 +178,12 @@ class LocalFilterL1:
         return self._value(x, t)
 
     def table(self, t: int | None = None) -> dict:
-        """Full table at round t, computing rounds in order (fast path)."""
+        """Full table at round t, computing rounds in order.
+
+        Each completed round carries its scans forward (see ``_carry``), so
+        a round at the previous round's scan radius rescans only near
+        moved values.
+        """
         t = self.schedule.rounds if t is None else t
         vertices = list(self.graph.vertices())
         for s in range(1, t + 1):
@@ -196,8 +191,9 @@ class LocalFilterL1:
                 continue
             for x in vertices:
                 self._value(x, s)
-            self._changed.setdefault(s, set())
             self._complete.add(s)
+            if s > 1:
+                self._carry(s, vertices)
         return {x: self._tables[t][x] for x in vertices}
 
     def match_of(self, x, t: int):
@@ -229,14 +225,14 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK, r=None,
     for t in range(2, schedule.rounds + 1):
         tau = schedule.tau(t)
         delta = schedule.delta(t)
-        radius = max(0, math.ceil(schedule.r - tau) - 1)
-        edges = []
-        for x in graph.vertices():
-            for y, s in scan_scored_neighbors(
-                graph, current.get, schedule.r, x, radius=radius, budget=scan_budget
-            ):
-                if s > tau and x < y:
-                    edges.append((x, y))
+        edges = [
+            (x, y)
+            for x, y, s in _violated_pairs(
+                graph, current.get, schedule.r,
+                radius=scan_radius(schedule.r, tau), budget=scan_budget,
+            )
+            if s > tau
+        ]
         partner = greedy_maximal_matching(
             edges, seed.derive("iter", t), encode=graph.canon
         )

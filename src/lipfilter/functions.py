@@ -90,6 +90,8 @@ class FunctionOracle:
 
     @property
     def lookups(self) -> int:
+        """Calls to ``lookup``.  Inside a filter session: the distinct vertices
+        read (the session memo's misses), not the filter's lookup calls."""
         return self._lookups
 
     def reset_lookups(self) -> None:

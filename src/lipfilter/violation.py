@@ -3,7 +3,7 @@
 A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
 Because defined values span at most the range diameter r, every
-tau-violated partner of x sits within distance ceil(r - tau) - 1, which
+tau-violated partner of x sits within ``scan_radius(r, tau)``, which
 bounds the BFS.
 """
 from __future__ import annotations
@@ -11,9 +11,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceeded
-
 DEFAULT_SCAN_BUDGET = 200_000
+
+
+def scan_radius(r, tau) -> int:
+    """ceil(r - tau) - 1, floored at 0: the farthest a tau-violated partner
+    can sit when values differ by at most r."""
+    return max(0, math.ceil(r - tau) - 1)
 
 
 def violation_score(graph, f, x, y) -> Fraction:
@@ -32,14 +36,14 @@ def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SC
     """All y with positive violation score against x, as sorted (y, score).
 
     ``lookup`` is any callable vertex -> Fraction | None.  The scan covers
-    the closed ball of ``radius`` (default ceil(r) - 1, enough for every
-    tau >= 0 given range diameter r).
+    the closed ball of ``radius`` (default ``scan_radius(r, 0)``, enough
+    for every tau >= 0 given range diameter r).
     """
     fx = lookup(x)
     if fx is None:
         return []
     if radius is None:
-        radius = max(0, math.ceil(r) - 1)
+        radius = scan_radius(r, 0)
     out = []
     for y, d in graph.ball(x, radius, budget=budget):
         if d == 0:
@@ -54,16 +58,22 @@ def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SC
     return out
 
 
-def viol_neighbors(graph, f, tau, x, *, budget=DEFAULT_SCAN_BUDGET):
-    """Neighbors of x in the tau-violation graph of f, in canonical order.
+def _violated_pairs(graph, lookup, r, *, radius=None, budget=DEFAULT_SCAN_BUDGET):
+    """Every pair with a positive score, once each, as (low, high, score)."""
+    for x in graph.vertices():
+        for y, score in scan_scored_neighbors(
+            graph, lookup, r, x, radius=radius, budget=budget
+        ):
+            if x < y:
+                yield x, y, score
 
-    BFS is truncated at radius ceil(r - tau) - 1 (floored at 0): any pair
-    with score above tau is at least that close because values differ by at
-    most r.
-    """
+
+def viol_neighbors(graph, f, tau, x, *, budget=DEFAULT_SCAN_BUDGET):
+    """Neighbors of x in the tau-violation graph of f, in canonical order."""
     tau = Fraction(tau)
-    radius = max(0, math.ceil(f.r - tau) - 1)
-    scored = scan_scored_neighbors(graph, f.lookup, f.r, x, radius=radius, budget=budget)
+    scored = scan_scored_neighbors(
+        graph, f.lookup, f.r, x, radius=scan_radius(f.r, tau), budget=budget
+    )
     return [y for y, s in scored if s > tau]
 
 
@@ -74,38 +84,16 @@ def is_dangerous(graph, f, x, *, budget=DEFAULT_SCAN_BUDGET) -> bool:
 
 def violation_edges(graph, f, *, budget=DEFAULT_SCAN_BUDGET):
     """Every 0-violated pair of f, each once as an ordered (low, high) edge."""
-    cache: dict = {}
-
-    def lookup(v):
-        if v in cache:
-            return cache[v]
-        val = f.lookup(v)
-        cache[v] = val
-        return val
-
-    edges = []
-    for x in graph.vertices():
-        for y, _ in scan_scored_neighbors(graph, lookup, f.r, x, budget=budget):
-            if x < y:
-                edges.append((x, y))
-    edges.sort()
-    return edges
+    values = {x: f.lookup(x) for x in graph.vertices()}
+    return sorted(
+        (x, y) for x, y, _ in _violated_pairs(graph, values.get, f.r, budget=budget)
+    )
 
 
 def max_violation_score(graph, f, *, budget=DEFAULT_SCAN_BUDGET) -> Fraction:
     """Largest violation score over all pairs (0 when f is 1-Lipschitz)."""
-    cache: dict = {}
-
-    def lookup(v):
-        if v in cache:
-            return cache[v]
-        val = f.lookup(v)
-        cache[v] = val
-        return val
-
-    best = Fraction(0)
-    for x in graph.vertices():
-        for _, s in scan_scored_neighbors(graph, lookup, f.r, x, budget=budget):
-            if s > best:
-                best = s
-    return best
+    values = {x: f.lookup(x) for x in graph.vertices()}
+    return max(
+        (s for _, _, s in _violated_pairs(graph, values.get, f.r, budget=budget)),
+        default=Fraction(0),
+    )

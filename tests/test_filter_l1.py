@@ -5,6 +5,7 @@ import pytest
 
 from lipfilter import (
     ExplicitGraph,
+    Hypercube,
     InvalidParam,
     LocalFilterL1,
     PartialFunction,
@@ -15,7 +16,13 @@ from lipfilter import (
     make_schedule,
     max_violation_score,
 )
-from helpers import lipschitz_table, random_connected_graph, random_table, seed_of
+from helpers import (
+    corrupted_lipschitz,
+    lipschitz_table,
+    random_connected_graph,
+    random_table,
+    seed_of,
+)
 
 
 class TestSchedule:
@@ -105,6 +112,40 @@ class TestLocalAgainstGlobal:
     def test_one_shot_helper(self):
         g, f = two_path()
         assert local_filter_l1(g, f, seed_of(0), 0, slack=1) == Fraction(4, 3)
+
+
+class TestScanCarry:
+    """table() carries scans from round to round where the scan radius
+    stays the same; these inputs make that happen on a cube.  At r = 3
+    rounds 2, 3 and 4 scan at radius 0, 1 and 2, and later rounds at 2;
+    at r = 2 round 2 scans at radius 0 and later rounds at 1."""
+
+    CUBE = Hypercube(8)
+
+    def instances(self):
+        for i in range(3):
+            rng = random.Random(100 + i)
+            yield corrupted_lipschitz(self.CUBE, rng, 3, k=8), seed_of(i)
+            yield random_table(self.CUBE, rng, 2), seed_of(i)
+
+    def test_table_matches_global(self):
+        for f, seed in self.instances():
+            ref = global_filter_l1(self.CUBE, f, seed)
+            assert LocalFilterL1(self.CUBE, f, seed).table() == ref
+
+    def test_partial_table_then_full(self):
+        for f, seed in self.instances():
+            filt = LocalFilterL1(self.CUBE, f, seed)
+            filt.table(3)
+            assert filt.table() == LocalFilterL1(self.CUBE, f, seed).table()
+
+    def test_point_queries_after_partial_table(self):
+        for f, seed in self.instances():
+            filt = LocalFilterL1(self.CUBE, f, seed)
+            filt.table(4)
+            fresh = LocalFilterL1(self.CUBE, f, seed)
+            for x in self.CUBE.vertices():
+                assert filt.value(x) == fresh.value(x)
 
 
 class TestInvariants:

@@ -124,3 +124,13 @@ class TestWholeGraph:
         # center violates against its four neighbors (gap 3 > dist 1)
         assert ((1, 2), (2, 2)) in edges
         assert ((2, 2), (2, 3)) in edges
+
+    def test_one_lookup_per_vertex(self):
+        g = Hypergrid(4, 2)
+        values = {x: 0 for x in g.vertices()}
+        values[(2, 2)] = 3
+        f = TableFunction(g, values, 3)
+        for whole_graph in (violation_edges, max_violation_score):
+            f.reset_lookups()
+            whole_graph(g, f)
+            assert f.lookups == g.n_vertices
