@@ -124,6 +124,9 @@ class LocalFilterL1:
             tau = self.schedule.tau(t)
 
             def adjacent(v):
+                # at radius 0 no pair can be tau-violated (r - tau <= 1)
+                if self._radii[t] == 0:
+                    return []
                 scans = self._scans.setdefault(t - 1, {})
                 if v not in scans:
                     scans[v] = scan_scored_neighbors(
@@ -153,10 +156,11 @@ class LocalFilterL1:
         scans at the same radius.  Dropping the round s - 1 scans is safe:
         completing round s ran match_of on every vertex, so the round-s
         matcher has cached every adjacency and never asks for them again.
+        A round at radius 0 makes no scans, so there is nothing to carry.
         """
-        old = self._scans.pop(s - 1)
+        old = self._scans.pop(s - 1, None)
         radius = self._radii[s]
-        if self._radii.get(s + 1) != radius:
+        if old is None or self._radii.get(s + 1) != radius:
             return
         dirty = set()
         for c in vertices:

@@ -4,6 +4,8 @@ Vertices of product graphs are coordinate tuples (1-based for hypergrids,
 0/1 for hypercubes); explicit graphs use integer ids.  Every graph exposes
 the same small surface: ``neighbors``, ``dist``, ``ball``, iteration, and a
 canonical string encoding used for ordering, hashing, and JSON keys.
+Hypercube balls are enumerated layer by layer by flipping coordinates, with
+no BFS; the other graphs share a BFS ball.
 """
 from __future__ import annotations
 
@@ -31,23 +33,38 @@ def _ball_limit(radius, open_: bool) -> int:
 
 
 class _BallMixin:
-    """Shared BFS ball enumeration with an optional vertex budget."""
+    """Ball enumeration with an optional vertex budget.
+
+    ``ball`` validates its arguments and hands the integer distance limit
+    to ``_ball``; the default ``_ball`` is a BFS over ``neighbors``, and a
+    graph with a closed form for its balls overrides ``_ball`` alone.
+    """
 
     def ball(self, x, radius, *, open_: bool = False, budget: int | None = None):
         """Vertices within ``radius`` of ``x`` as (vertex, dist) pairs.
 
         Closed by default; ``open_=True`` means strict inequality.  Results
-        are sorted by (distance, vertex).  Raises BudgetExceeded once more
-        than ``budget`` vertices have been collected.
+        are sorted by (distance, vertex).  Raises BudgetExceeded if and only
+        if the ball has more than ``budget`` vertices.
         """
         self.check_vertex(x)
         limit = _ball_limit(radius, open_)
         if limit < 0:
             return []
+        out = self._ball(x, limit, budget)
+        if out is None:
+            raise BudgetExceeded(f"ball({x}, {radius}) exceeded vertex budget {budget}")
+        return out
+
+    def _ball(self, x, limit: int, budget: int | None):
+        """Sorted ball of integer radius ``limit``, or None past ``budget``."""
         out = [(x, 0)]
         seen = {x}
         queue = deque([(x, 0)])
         while queue:
+            # every collected vertex is queued, so this also sees the last
+            if budget is not None and len(out) > budget:
+                return None
             v, d = queue.popleft()
             if d == limit:
                 continue
@@ -56,10 +73,6 @@ class _BallMixin:
                     continue
                 seen.add(w)
                 out.append((w, d + 1))
-                if budget is not None and len(out) > budget:
-                    raise BudgetExceeded(
-                        f"ball({x}, {radius}) exceeded vertex budget {budget}"
-                    )
                 queue.append((w, d + 1))
         out.sort(key=lambda p: (p[1], p[0]))
         return out
@@ -163,6 +176,26 @@ class Hypercube(_BallMixin):
 
     def dist(self, x, y) -> int:
         return sum(a != b for a, b in zip(x, y))
+
+    def _ball(self, x, limit: int, budget: int | None):
+        # The ball has sum_{k <= limit} C(d, k) vertices, so the budget is
+        # decided before any is built.  Layer k flips one coordinate past
+        # the last one flipped in layer k - 1, which builds each vertex once.
+        d = self.d
+        limit = min(limit, d)
+        if budget is not None and sum(math.comb(d, k) for k in range(limit + 1)) > budget:
+            return None
+        out = [(x, 0)]
+        layer = [(x, -1)]
+        for k in range(1, limit + 1):
+            layer = [
+                (v[:i] + (1 - v[i],) + v[i + 1 :], i)
+                for v, last in layer
+                for i in range(last + 1, d)
+            ]
+            layer.sort()  # vertices in a layer are distinct: sorts by vertex
+            out.extend([(v, k) for v, _ in layer])
+        return out
 
     def edges(self) -> Iterator[tuple]:
         for x in self.vertices():

@@ -4,7 +4,7 @@ A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
 Because defined values span at most the range diameter r, every
 tau-violated partner of x sits within ``scan_radius(r, tau)``, which
-bounds the BFS.
+bounds the ball each scan enumerates.
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ def violation_score(graph, f, x, y) -> Fraction:
 
 
 def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SCAN_BUDGET):
-    """All y with positive violation score against x, as sorted (y, score).
+    """All y with positive violation score against x, as sorted (y, score)
+    with every score a Fraction.
 
     ``lookup`` is any callable vertex -> Fraction | None.  The scan covers
     the closed ball of ``radius`` (default ``scan_radius(r, 0)``, enough
@@ -44,6 +45,9 @@ def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SC
         return []
     if radius is None:
         radius = scan_radius(r, 0)
+    # With fx = a/b and fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e):
+    # its sign is decided in ints, and only positive scores become Fractions.
+    a, b = fx.numerator, fx.denominator
     out = []
     for y, d in graph.ball(x, radius, budget=budget):
         if d == 0:
@@ -51,9 +55,10 @@ def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SC
         fy = lookup(y)
         if fy is None:
             continue
-        score = abs(fx - fy) - d
-        if score > 0:
-            out.append((y, score))
+        c, e = fy.numerator, fy.denominator
+        num = abs(a * e - c * b) - d * b * e
+        if num > 0:
+            out.append((y, Fraction(num, b * e)))
     out.sort(key=lambda p: p[0])
     return out
 

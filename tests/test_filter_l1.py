@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from lipfilter import filter_l1
+from lipfilter.violation import scan_radius
 from lipfilter import (
     ExplicitGraph,
     Hypercube,
@@ -117,8 +119,9 @@ class TestLocalAgainstGlobal:
 class TestScanCarry:
     """table() carries scans from round to round where the scan radius
     stays the same; these inputs make that happen on a cube.  At r = 3
-    rounds 2, 3 and 4 scan at radius 0, 1 and 2, and later rounds at 2;
-    at r = 2 round 2 scans at radius 0 and later rounds at 1."""
+    rounds 2, 3 and 4 have scan radius 0, 1 and 2, and later rounds 2;
+    at r = 2 round 2 has radius 0 and later rounds 1.  A radius-0 round
+    makes no scan, since no pair can be violated in it."""
 
     CUBE = Hypercube(8)
 
@@ -132,6 +135,21 @@ class TestScanCarry:
         for f, seed in self.instances():
             ref = global_filter_l1(self.CUBE, f, seed)
             assert LocalFilterL1(self.CUBE, f, seed).table() == ref
+
+    def test_radius_zero_round_makes_no_scan(self, monkeypatch):
+        radii = []
+        scan = filter_l1.scan_scored_neighbors
+
+        def recording(*args, radius, **kwargs):
+            radii.append(radius)
+            return scan(*args, radius=radius, **kwargs)
+
+        monkeypatch.setattr(filter_l1, "scan_scored_neighbors", recording)
+        f = random_table(self.CUBE, random.Random(7), 2)
+        filt = LocalFilterL1(self.CUBE, f, seed_of(0))
+        assert scan_radius(2, filt.schedule.tau(2)) == 0
+        assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0))
+        assert radii and 0 not in radii
 
     def test_partial_table_then_full(self):
         for f, seed in self.instances():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,13 @@ from lipfilter import (
     load_graph,
     random_vertex,
 )
+from lipfilter.graphs import _BallMixin
+
+
+class BfsHypercube(Hypercube):
+    """A hypercube whose balls come from the shared BFS, as reference."""
+
+    _ball = _BallMixin._ball
 
 
 class TestHypergrid:
@@ -120,6 +128,39 @@ class TestBall:
         with pytest.raises(BudgetExceeded):
             g.ball((0,) * 4, 2, budget=5)
         assert len(g.ball((0,) * 4, 2, budget=11)) == 11
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_hypercube_equals_bfs(self, d):
+        g, ref = Hypercube(d), BfsHypercube(d)
+        radii = [Fraction(k, 2) for k in range(2 * d + 3)]  # 0, 1/2, ..., d + 1
+        for x in g.vertices():
+            for radius in radii:
+                for open_ in (False, True):
+                    want = ref.ball(x, radius, open_=open_)
+                    assert g.ball(x, radius, open_=open_) == want
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_hypercube_budget_verdict_equals_bfs(self, d):
+        g, ref = Hypercube(d), BfsHypercube(d)
+        x = (0, 1) * (d // 2) + (1,) * (d % 2)
+        for radius in range(d + 2):
+            size = len(ref.ball(x, radius))
+            for graph in (g, ref):
+                assert len(graph.ball(x, radius, budget=size)) == size
+            raised = []
+            for graph in (g, ref):
+                with pytest.raises(BudgetExceeded) as err:
+                    graph.ball(x, radius, budget=size - 1)
+                raised.append(str(err.value))
+            assert raised[0] == raised[1]
+
+    def test_hypercube_budget_decided_before_enumeration(self):
+        # C(40, <= 20) vertices: only an up-front size check answers at once
+        g = Hypercube(40)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            g.ball((0,) * 40, 20, budget=200_000)
+        assert time.perf_counter() - start < 0.5
 
     def test_membership_matches_dist(self):
         g = Hypercube(4)

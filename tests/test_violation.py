@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipfilter import (
     BudgetExceeded,
     ExplicitGraph,
+    Hypercube,
     Hypergrid,
     TableFunction,
     is_dangerous,
@@ -76,6 +79,32 @@ class TestScan:
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 4)
         with pytest.raises(BudgetExceeded):
             scan_scored_neighbors(g, f.lookup, f.r, (1, 1, 1, 1), budget=3)
+
+
+CUBE4 = Hypercube(4)
+_value = st.one_of(
+    st.none(),
+    st.integers(0, 4),
+    st.builds(Fraction, st.integers(0, 48), st.integers(1, 12)),
+)
+
+
+class TestScanProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_value, min_size=16, max_size=16), st.integers(0, 5))
+    def test_equals_brute_force(self, table, radius):
+        values = dict(zip(CUBE4.vertices(), table))
+        f = SimpleNamespace(lookup=values.get)
+        for x in CUBE4.vertices():
+            got = scan_scored_neighbors(CUBE4, values.get, 4, x, radius=radius)
+            want = []
+            for y in CUBE4.vertices():
+                if y != x and CUBE4.dist(x, y) <= radius:
+                    score = violation_score(CUBE4, f, x, y)
+                    if score > 0:
+                        want.append((y, score))
+            assert got == want
+            assert all(type(s) is Fraction for _, s in got)
 
 
 class TestThreshold:
