@@ -75,11 +75,12 @@ class LocalFilterL1:
     ``value(x)`` recurses through rounds, resolving each round's matching
     locally; all verdicts, values, and violation scans are memoized so
     repeated or bulk queries share work.  Round t scans the round t - 1
-    values at its own radius ``scan_radius(r, tau_t)``.  ``table(t)``
-    drives the same recursion round by round over the whole domain; when
-    it completes a round, it carries each scan forward to the next round
-    unless a value moved within the scan radius, and drops the scans no
-    matching will ask for again.
+    values at its own radius ``scan_radius(r, tau_t)``; once round t - 1
+    is complete its scans read the round t - 1 table directly.
+    ``table(t)`` drives the same recursion round by round over the whole
+    domain, and when the next round scans at the same radius it updates
+    the finished round's scans in place, rescanning only the values that
+    moved (see ``_carry``).
     """
 
     def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK, r=None,
@@ -94,7 +95,7 @@ class LocalFilterL1:
         self._radii = {t: scan_radius(self.schedule.r, self.schedule.tau(t))
                        for t in range(2, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
-        self._scans: dict[int, dict] = {}  # version -> {vertex: [(y, score), ...]}
+        self._scans: dict[int, dict] = {}  # version -> {vertex: {y: score}}
         self._complete: set[int] = set()
 
     # -- round values ---------------------------------------------------
@@ -129,15 +130,8 @@ class LocalFilterL1:
                     return []
                 scans = self._scans.setdefault(t - 1, {})
                 if v not in scans:
-                    scans[v] = scan_scored_neighbors(
-                        self.graph,
-                        lambda y: self._value(y, t - 1),
-                        self.schedule.r,
-                        v,
-                        radius=self._radii[t],
-                        budget=self.scan_budget,
-                    )
-                return [y for y, s in scans[v] if s > tau]
+                    scans[v] = self._scan(v, t)
+                return [y for y, s in scans[v].items() if s > tau]
 
             m = MatchingLCA(
                 adjacent,
@@ -148,29 +142,40 @@ class LocalFilterL1:
             self._matchers[t] = m
         return m
 
-    def _carry(self, s: int, vertices) -> None:
-        """Carry the round s - 1 scans forward once round s is complete.
+    def _scan(self, v, t: int) -> dict:
+        """Scan of v against the round t - 1 values at round t's radius."""
+        lookup = (self._tables[t - 1].get if t - 1 in self._complete
+                  else lambda y: self._value(y, t - 1))
+        return dict(scan_scored_neighbors(
+            self.graph, lookup, self.schedule.r, v,
+            radius=self._radii[t], budget=self.scan_budget,
+        ))
 
-        A scan against round s - 1 still holds against round s when no
-        value within its radius moved, and round s + 1 can use it when it
-        scans at the same radius.  Dropping the round s - 1 scans is safe:
-        completing round s ran match_of on every vertex, so the round-s
-        matcher has cached every adjacency and never asks for them again.
-        A round at radius 0 makes no scans, so there is nothing to carry.
+    def _carry(self, s: int, vertices) -> None:
+        """Update the round s - 1 scans in place to round s once it is complete.
+
+        Round s + 1 can use them when it scans at round s's radius.  Each
+        value c that moved in round s leaves the scans of its old partners,
+        and one rescan of c against the round-s table writes every positive
+        score into both scans[c] and scans[y]: scores and ball membership
+        are symmetric, so this gives the scans a fresh session would
+        compute.  Completing round s scanned every vertex, and the round-s
+        matcher has cached every adjacency, so it never asks for the
+        updated scans.  A round at radius 0 makes no scans, so there is
+        nothing to carry.
         """
-        old = self._scans.pop(s - 1, None)
-        radius = self._radii[s]
-        if old is None or self._radii.get(s + 1) != radius:
+        scans = self._scans.pop(s - 1, None)
+        if scans is None or self._radii.get(s + 1) != self._radii[s]:
             return
-        dirty = set()
+        new, old = self._tables[s], self._tables[s - 1]
         for c in vertices:
-            if self._tables[s][c] != self._tables[s - 1][c]:
-                dirty.update(
-                    y for y, _ in self.graph.ball(c, radius, budget=self.scan_budget)
-                )
-        self._scans.setdefault(s, {}).update(
-            (v, scored) for v, scored in old.items() if v not in dirty
-        )
+            if new[c] != old[c]:
+                for y in scans[c]:
+                    del scans[y][c]
+                scans[c] = self._scan(c, s + 1)
+                for y, score in scans[c].items():
+                    scans[y][c] = score
+        self._scans[s] = scans
 
     # -- public API -----------------------------------------------------
 
@@ -184,9 +189,9 @@ class LocalFilterL1:
     def table(self, t: int | None = None) -> dict:
         """Full table at round t, computing rounds in order.
 
-        Each completed round carries its scans forward (see ``_carry``), so
-        a round at the previous round's scan radius rescans only near
-        moved values.
+        Each completed round updates its scans in place for the next round
+        (see ``_carry``), so a round at the previous round's scan radius
+        rescans only the values that moved.
         """
         t = self.schedule.rounds if t is None else t
         vertices = list(self.graph.vertices())

@@ -8,6 +8,7 @@ from lipfilter.violation import scan_radius
 from lipfilter import (
     ExplicitGraph,
     Hypercube,
+    Hypergrid,
     InvalidParam,
     LocalFilterL1,
     PartialFunction,
@@ -116,12 +117,32 @@ class TestLocalAgainstGlobal:
         assert local_filter_l1(g, f, seed_of(0), 0, slack=1) == Fraction(4, 3)
 
 
+def scan_radii(filt):
+    return {t: scan_radius(filt.schedule.r, filt.schedule.tau(t))
+            for t in range(2, filt.schedule.rounds + 1)}
+
+
+def carried_moves(filt, trace):
+    """Values of a global trace that moved in a round s whose next round
+    scans at round s's radius > 0: the rescans table() makes in place."""
+    radius = scan_radii(filt)
+    return sum(
+        trace[s - 1][x] != trace[s - 2][x]
+        for s in range(2, filt.schedule.rounds)
+        if radius[s + 1] == radius[s] > 0
+        for x in trace[s - 1]
+    )
+
+
 class TestScanCarry:
-    """table() carries scans from round to round where the scan radius
-    stays the same; these inputs make that happen on a cube.  At r = 3
-    rounds 2, 3 and 4 have scan radius 0, 1 and 2, and later rounds 2;
-    at r = 2 round 2 has radius 0 and later rounds 1.  A radius-0 round
-    makes no scan, since no pair can be violated in it."""
+    """When round s + 1 scans at round s's radius, table() updates the
+    round s scans in place once round s completes: every value that moved
+    in round s is rescanned once, against the round-s table, and its
+    scores are written into its own scan and its partners'.  A round at a
+    new radius scans every vertex.  At r = 3 rounds 2, 3 and 4 have scan
+    radius 0, 1 and 2, and later rounds 2; at r = 2 round 2 has radius 0
+    and later rounds 1.  A radius-0 round makes no scan, since no pair can
+    be violated in it."""
 
     CUBE = Hypercube(8)
 
@@ -131,10 +152,51 @@ class TestScanCarry:
             yield corrupted_lipschitz(self.CUBE, rng, 3, k=8), seed_of(i)
             yield random_table(self.CUBE, rng, 2), seed_of(i)
 
+    def graph_instances(self):
+        """The cube instances, plus a grid and an explicit graph, whose balls
+        come from the breadth-first search."""
+        for f, seed in self.instances():
+            yield self.CUBE, f, seed
+        grid = Hypergrid(4, 3)
+        yield grid, random_table(grid, random.Random(200), 3), seed_of(3)
+        rng = random.Random(201)
+        g = random_connected_graph(rng, 40, extra=20)
+        yield g, random_table(g, rng, 3), seed_of(4)
+
     def test_table_matches_global(self):
         for f, seed in self.instances():
             ref = global_filter_l1(self.CUBE, f, seed)
             assert LocalFilterL1(self.CUBE, f, seed).table() == ref
+
+    def test_every_round_matches_global_trace(self):
+        for g, f, seed in self.graph_instances():
+            trace = global_filter_l1(g, f, seed, trace=True)
+            filt = LocalFilterL1(g, f, seed)
+            assert carried_moves(filt, trace) > 0
+            for t in range(1, filt.schedule.rounds + 1):
+                assert filt.table(t) == trace[t - 1], (g, t)
+
+    def test_scan_count(self, monkeypatch):
+        """One scan per vertex in a round at a new radius > 0, and one per
+        moved value in a round at the previous round's radius."""
+        f = corrupted_lipschitz(self.CUBE, random.Random(100), 3, k=8)
+        trace = global_filter_l1(self.CUBE, f, seed_of(0), trace=True)
+        calls = []
+        scan = filter_l1.scan_scored_neighbors
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(filter_l1, "scan_scored_neighbors", counting)
+        filt = LocalFilterL1(self.CUBE, f, seed_of(0))
+        radius = scan_radii(filt)
+        full = sum(self.CUBE.n_vertices for t in radius
+                   if radius[t] > 0 and radius[t] != radius.get(t - 1))
+        carried = carried_moves(filt, trace)
+        assert filt.table() == trace[-1]
+        assert carried > 0
+        assert len(calls) == full + carried
 
     def test_radius_zero_round_makes_no_scan(self, monkeypatch):
         radii = []
