@@ -66,14 +66,16 @@ class LocalFilterL0:
     graph) are re-extended from the unmatched values within distance r;
     everything else passes through.  Caches inside a session are logically
     transparent: answers equal a fresh computation for every query order.
+    The range [lo, lo + r] is the oracle's; wrap it with ``clip`` for
+    another one.
     """
 
-    def __init__(self, graph, f, seed: Seed, *, r=None, lo=None,
+    def __init__(self, graph, f, seed: Seed, *,
                  scan_budget=DEFAULT_SCAN_BUDGET, match_budget=DEFAULT_EDGE_BUDGET):
         self.graph = graph
         self.f = f
-        self.r = Fraction(f.r if r is None else r)
-        self.lo = Fraction(f.lo if lo is None else lo)
+        self.r = f.r
+        self.lo = f.lo
         self.scan_budget = scan_budget
         self._values: dict = {}
         self._matcher = MatchingLCA(

@@ -83,12 +83,12 @@ class LocalFilterL1:
     moved (see ``_carry``).
     """
 
-    def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK, r=None,
+    def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
                  scan_budget=DEFAULT_SCAN_BUDGET, match_budget=DEFAULT_EDGE_BUDGET):
         self.graph = graph
         self.f = f
         self.seed = seed
-        self.schedule = make_schedule(f.r if r is None else r, slack)
+        self.schedule = make_schedule(f.r, slack)
         self.scan_budget = scan_budget
         self.match_budget = match_budget
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
@@ -205,17 +205,13 @@ class LocalFilterL1:
                 self._carry(s, vertices)
         return {x: self._tables[t][x] for x in vertices}
 
-    def match_of(self, x, t: int):
-        """Partner of x in the round-t matching (None if unmatched)."""
-        return self._matcher(t).match_of(x)
-
 
 def local_filter_l1(graph, f, seed: Seed, x, *, slack=DEFAULT_SLACK, **kw) -> Fraction:
     """One-shot query; see LocalFilterL1 for sessions."""
     return LocalFilterL1(graph, f, seed, slack=slack, **kw).value(x)
 
 
-def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK, r=None,
+def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
                      trace=False, scan_budget=DEFAULT_SCAN_BUDGET):
     """Reference implementation: materialize every round over the domain.
 
@@ -223,7 +219,7 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK, r=None,
     so outputs match LocalFilterL1 exactly.  With ``trace=True`` returns
     the list [g_1, ..., g_T].
     """
-    schedule = make_schedule(f.r if r is None else r, slack)
+    schedule = make_schedule(f.r, slack)
     current = {}
     for x in graph.vertices():
         v = f.lookup(x)

@@ -1,8 +1,11 @@
 """Lookup oracles for (possibly partial) bounded-range functions.
 
 Values are exact Fractions; ``None`` is the undefined marker (written "?"
-in JSON).  Every oracle counts lookups; wrapper oracles count their own
-lookups and forward to the wrapped oracle, whose counter moves as well.
+in JSON).  Every oracle counts the values read from it.  ``lookup`` checks
+the vertex and, for oracles whose values are computed (expressions and
+callables), the claimed range.  The clip and restrict wrappers read their
+base unchecked, since they exist to absorb values outside its range; the
+base counter still moves once per wrapper read.
 """
 from __future__ import annotations
 
@@ -67,20 +70,24 @@ class Interval:
 
 
 class FunctionOracle:
-    """Base class: lookup with domain check, range check, and counting.
+    """Base class: a counted read, and ``lookup``'s checks around it.
 
     Defined values live in [lo, lo + r]; ``r`` is the claimed range
     diameter.  ``lo`` is 0 for ordinary oracles and shifts for clipped or
-    interval-restricted views.
+    interval-restricted views.  ``lookup`` checks the vertex, reads the
+    value with ``_read``, and raises RangeViolation for a value outside
+    [lo, hi] if the class sets ``checks_range``; classes whose values are
+    in range by construction clear it.
     """
 
-    def __init__(self, r, *, lo=0, graph=None, validate_range: bool = True):
+    checks_range = True
+
+    def __init__(self, r, *, lo=0, graph=None):
         self.r = parse_rational(r)
         self.lo = parse_rational(lo)
         if self.r < 0:
             raise RangeViolation(f"range diameter must be nonnegative, got {self.r}")
         self.graph = graph
-        self.validate_range = validate_range
         self._lookups = 0
         self._lock = threading.Lock()
 
@@ -90,8 +97,9 @@ class FunctionOracle:
 
     @property
     def lookups(self) -> int:
-        """Calls to ``lookup``.  Inside a filter session: the distinct vertices
-        read (the session memo's misses), not the filter's lookup calls."""
+        """Values read: ``lookup`` calls plus wrapper reads.  Inside a filter
+        session: the distinct vertices read (the session memo's misses), not
+        the filter's lookup calls."""
         return self._lookups
 
     def reset_lookups(self) -> None:
@@ -101,14 +109,18 @@ class FunctionOracle:
     def lookup(self, x):
         if self.graph is not None:
             self.graph.check_vertex(x)
-        with self._lock:
-            self._lookups += 1
-        v = self._value(x)
-        if v is not None and self.validate_range and not (self.lo <= v <= self.hi):
+        v = self._read(x)
+        if v is not None and self.checks_range and not (self.lo <= v <= self.hi):
             raise RangeViolation(
                 f"f({x!r}) = {v} outside claimed range [{self.lo}, {self.hi}]"
             )
         return v
+
+    def _read(self, x):
+        """The value at x, counted, with neither check."""
+        with self._lock:
+            self._lookups += 1
+        return self._value(x)
 
     def _value(self, x):
         raise NotImplementedError
@@ -122,6 +134,8 @@ class FunctionOracle:
 
 class TableFunction(FunctionOracle):
     """Dense or defaulted table of values, validated at construction."""
+
+    checks_range = False
 
     def __init__(self, graph, values: dict, r, *, default="?", lo=0):
         super().__init__(r, lo=lo, graph=graph)
@@ -138,7 +152,6 @@ class TableFunction(FunctionOracle):
         if self.default is not None and not (self.lo <= self.default <= self.hi):
             raise RangeViolation(f"default value {self.default} out of range")
         self._table = table
-        self.validate_range = False  # everything checked above
 
     def _value(self, x):
         return self._table.get(x, self.default)
@@ -147,12 +160,12 @@ class TableFunction(FunctionOracle):
 class ExprFunction(FunctionOracle):
     """Oracle backed by a DSL expression, evaluated per lookup.
 
-    Out-of-range values surface as RangeViolation at the first offending
-    lookup unless ``validate_range=False`` (mechanisms clip instead).
+    An out-of-range value raises RangeViolation at each lookup that reads
+    it; ``clip`` and ``restrict`` views read it without raising.
     """
 
-    def __init__(self, graph, program, r, *, lo=0, validate_range=True):
-        super().__init__(r, lo=lo, graph=graph, validate_range=validate_range)
+    def __init__(self, graph, program, r, *, lo=0):
+        super().__init__(r, lo=lo, graph=graph)
         if isinstance(program, str):
             d = getattr(graph, "d", None)
             program = exprs.parse_expr(program, d)
@@ -166,8 +179,8 @@ class ExprFunction(FunctionOracle):
 class CallableFunction(FunctionOracle):
     """Oracle over a plain callable returning Fraction | None."""
 
-    def __init__(self, graph, fn, r, *, lo=0, validate_range=True):
-        super().__init__(r, lo=lo, graph=graph, validate_range=validate_range)
+    def __init__(self, graph, fn, r, *, lo=0):
+        super().__init__(r, lo=lo, graph=graph)
         self._fn = fn
 
     def _value(self, x):
@@ -177,14 +190,16 @@ class CallableFunction(FunctionOracle):
 class ClippedFunction(FunctionOracle):
     """The truncation f[lo, hi]: identity inside, clamped outside."""
 
+    checks_range = False
+
     def __init__(self, base: FunctionOracle, lo, hi):
         if lo > hi:
             raise InvalidInterval(f"clip bounds out of order: {lo} > {hi}")
-        super().__init__(hi - lo, lo=lo, graph=base.graph, validate_range=False)
+        super().__init__(hi - lo, lo=lo, graph=base.graph)
         self.base = base
 
     def _value(self, x):
-        v = self.base.lookup(x)
+        v = self.base._read(x)
         if v is None:
             return None
         return min(max(v, self.lo), self.hi)
@@ -193,15 +208,15 @@ class ClippedFunction(FunctionOracle):
 class RestrictedFunction(FunctionOracle):
     """The interval restriction f_I: f where f lands in I, else undefined."""
 
+    checks_range = False
+
     def __init__(self, base: FunctionOracle, interval: Interval):
-        super().__init__(
-            interval.width, lo=interval.lo, graph=base.graph, validate_range=False
-        )
+        super().__init__(interval.width, lo=interval.lo, graph=base.graph)
         self.base = base
         self.interval = interval
 
     def _value(self, x):
-        v = self.base.lookup(x)
+        v = self.base._read(x)
         if v is None or not self.interval.contains(v):
             return None
         return v

@@ -89,7 +89,8 @@ class Hypergrid(_BallMixin):
         self.n = n
         self.d = d
         self.n_vertices = n**d
-        self.max_degree = 2 * d if n > 1 else 0
+        # two neighbours per coordinate at an inner point, one when n = 2
+        self.max_degree = min(n - 1, 2) * d
         self.diameter = (n - 1) * d
         self._width = len(str(n))
 

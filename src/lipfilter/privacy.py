@@ -27,31 +27,21 @@ from .matching import DEFAULT_EDGE_BUDGET
 from .seeds import Seed
 from .violation import DEFAULT_SCAN_BUDGET
 
-MAX_DELTA = Fraction(1, 200)
-
 
 class NoiseSource:
-    """Deterministic Laplace sampler, or a silent stub when disabled.
+    """Deterministic Laplace sampler; a random seed when none is given.
 
     Sampling inverts the CDF: X = -scale * sign(u) * ln(1 - 2|u|) for
-    uniform u in (-1/2, 1/2).  Disabled sources return integer 0 so that
-    exact rational pipelines stay exact.
+    uniform u in (-1/2, 1/2).  For a noise-free, exact rational answer,
+    pass ``noise=None`` to a mechanism instead of a source.
     """
 
-    def __init__(self, seed: Seed | None = None, *, enabled: bool = True):
-        self.enabled = enabled
-        if enabled:
-            if seed is None:
-                seed = Seed.random()
-            self._rng = random.Random(int(seed.hex, 16))
-
-    @classmethod
-    def disabled(cls) -> "NoiseSource":
-        return cls(None, enabled=False)
+    def __init__(self, seed: Seed | None = None):
+        if seed is None:
+            seed = Seed.random()
+        self._rng = random.Random(int(seed.hex, 16))
 
     def laplace(self, scale):
-        if not self.enabled:
-            return 0
         while True:
             u = self._rng.random() - 0.5
             if u > -0.5:
@@ -110,16 +100,11 @@ class BinarySearchMechanism:
     """
 
     def __init__(self, graph, f, eps, seed: Seed, *, r_opt=None,
-                 delta=Fraction(1, 400),
                  scan_budget: int = DEFAULT_SCAN_BUDGET,
                  match_budget: int = DEFAULT_EDGE_BUDGET):
         self.eps = parse_rational(eps)
         if self.eps <= 0:
             raise InvalidParam("eps must be positive")
-        delta = parse_rational(delta)
-        if not 0 < delta < MAX_DELTA:
-            raise InvalidParam(f"delta must lie in (0, {MAX_DELTA})")
-        self.delta = delta
 
         r = parse_rational(f.r if r_opt is None else r_opt)
         n = getattr(graph, "n", None)

@@ -130,6 +130,20 @@ class TestMechanism:
         assert out["value"] == "4"
         assert out["iterations"] >= 1
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--domain", "cube:4", "--range", "2", "--query", "1111"], "2"),
+        (["--binary-search", "--domain", "cube:6", "--range", "3",
+          "--query", "111111"], "3"),
+    ], ids=["filter", "binary_search"])
+    def test_out_of_range_values_clipped(self, capsys, argv, value):
+        # sum() leaves the claimed range at the query; the answer is clipped
+        code = main(["mechanism", "--expr", "sum()", "--eps", "1",
+                     "--no-noise", "--seed", SEED, *argv])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["value"] == value
+
     def test_noisy_output_differs(self, capsys):
         code, out = run(capsys, [
             "mechanism", "--expr", "min(x1 + x2, 4)", "--domain", "5,2",

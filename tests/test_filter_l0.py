@@ -127,13 +127,6 @@ class TestLocal:
             filt = LocalFilterL0(g, f, seed_of(9))
             assert {x: filt.value(x) for x in verts} == baseline
 
-    def test_explicit_r_and_lo_override(self):
-        g = ExplicitGraph(2, [(0, 1)])
-        f = TableFunction(g, {0: 1, 1: 4}, 4, lo=0)
-        filt = LocalFilterL0(g, f, seed_of(1), r=4, lo=1)
-        # both endpoints matched; extension floor is the override
-        assert filt.table() == {0: 1, 1: 1}
-
     def test_range_preserved(self):
         rng = random.Random(7)
         for trial in range(5):

@@ -144,6 +144,19 @@ class TestExprFunction:
         with pytest.raises(RangeViolation):
             f.lookup((4,))
 
+    def test_wrappers_read_out_of_range_base(self):
+        g = Hypergrid(4, 1)
+        f = ExprFunction(g, "x1 * x1", 3)  # 1, 4, 9, 16 against [0, 3]
+        c = f.clip(0, 3)
+        w = f.restrict(Interval.of(0, 3))
+        f.reset_lookups()
+        assert [c.lookup((i,)) for i in range(1, 5)] == [1, 3, 3, 3]
+        assert [w.lookup((i,)) for i in range(1, 5)] == [1, None, None, None]
+        assert c.lookups == 4 and w.lookups == 4
+        assert f.lookups == 8  # once per wrapper read
+        with pytest.raises(RangeViolation):
+            f.lookup((2,))
+
     def test_dimension_checked_at_build(self):
         g = Hypergrid(4, 2)
         from lipfilter import DimensionError

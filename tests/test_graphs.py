@@ -29,6 +29,14 @@ class BfsHypercube(Hypercube):
     _ball = _BallMixin._ball
 
 
+@pytest.mark.parametrize("g", [
+    *(Hypergrid(n, d) for n in (1, 2, 3) for d in (1, 2, 3)),
+    *(Hypercube(d) for d in range(1, 5)),
+], ids=repr)
+def test_max_degree_is_largest_neighbourhood(g):
+    assert g.max_degree == max(len(g.neighbors(x)) for x in g.vertices())
+
+
 class TestHypergrid:
     def test_basics(self):
         g = Hypergrid(3, 2)

@@ -6,14 +6,13 @@ import pytest
 
 from lipfilter import (
     BinarySearchMechanism,
-    ExplicitGraph,
+    CallableFunction,
     FilterMechanism,
     Hypercube,
     Hypergrid,
     InvalidParam,
     NoiseSource,
     TableFunction,
-    laplace_mechanism,
 )
 from helpers import lipschitz_table, seed_of
 
@@ -28,12 +27,6 @@ class TestNoiseSource:
         a = NoiseSource(seed_of(1))
         b = NoiseSource(seed_of(2))
         assert [a.laplace(2) for _ in range(5)] != [b.laplace(2) for _ in range(5)]
-
-    def test_disabled_is_exact_zero(self):
-        off = NoiseSource.disabled()
-        z = off.laplace(100)
-        assert z == 0 and isinstance(z, int)
-        assert laplace_mechanism(Fraction(1, 3), 100, off) == Fraction(1, 3)
 
     def test_scale_and_symmetry(self):
         draws = [NoiseSource(seed_of(3)).laplace(2) for _ in range(1)]
@@ -57,6 +50,18 @@ def line_function(n, r):
     return g, TableFunction(g, {(i,): min(i - 1, r) for i in range(1, n + 1)}, r)
 
 
+def out_of_range_line():
+    """f(i) = 4i - 10 on a 6-path claiming [1, 7], and its clip as a table.
+
+    The values leave the range on both sides.
+    """
+    g = Hypergrid(6, 1)
+    f = CallableFunction(g, lambda x: Fraction(4 * x[0] - 10), 6, lo=1)
+    clipped = TableFunction(
+        g, {(i,): min(max(4 * i - 10, 1), 7) for i in range(1, 7)}, 6, lo=1)
+    return g, f, clipped
+
+
 class TestFilterMechanism:
     def test_eps_validated(self):
         g, f = line_function(5, 4)
@@ -71,11 +76,12 @@ class TestFilterMechanism:
             assert mech.answer((i,)) == f.lookup((i,))
 
     def test_out_of_range_values_clamped(self):
-        g = ExplicitGraph(2, [(0, 1)])
-        f = TableFunction(g, {0: 0, 1: 6}, 6)
+        g, f, clipped = out_of_range_line()
         mech = FilterMechanism(g, f, 1, seed_of(1))
-        a0, a1 = mech.answer(0), mech.answer(1)
-        assert abs(a1 - a0) <= 2  # slack-1 filter: gap at most 2 per edge
+        ref = FilterMechanism(g, clipped, 1, seed_of(1))
+        answers = [mech.answer(x) for x in g.vertices()]
+        assert answers == [ref.answer(x) for x in g.vertices()]
+        assert answers != [clipped.lookup(x) for x in g.vertices()]  # moved some
 
     def test_noise_added(self):
         g, f = line_function(5, 4)
@@ -109,10 +115,6 @@ class TestBinarySearchMechanism:
         g, f = line_function(6, 5)
         with pytest.raises(InvalidParam):
             BinarySearchMechanism(g, f, 0, seed_of(0))
-        with pytest.raises(InvalidParam):
-            BinarySearchMechanism(g, f, 1, seed_of(0), delta=Fraction(1, 100))
-        with pytest.raises(InvalidParam):
-            BinarySearchMechanism(g, f, 1, seed_of(0), delta=0)
         g2 = Hypergrid(2, 1)
         f2 = TableFunction(g2, {(1,): 0, (2,): 1}, 1)
         with pytest.raises(InvalidParam):
@@ -132,6 +134,13 @@ class TestBinarySearchMechanism:
         assert mech.kappa == 4
         assert float(mech.alpha) == pytest.approx(4 * math.log2(800))
         assert float(mech.noise_scale) == pytest.approx(4.0)
+
+    def test_out_of_range_values_clamped(self):
+        g, f, clipped = out_of_range_line()
+        mech = BinarySearchMechanism(g, f, 1, seed_of(6))
+        ref = BinarySearchMechanism(g, clipped, 1, seed_of(6))
+        for x in g.vertices():
+            assert mech.answer(x).value == ref.answer(x).value
 
     def test_noise_free_returns_exact_value(self):
         rng = random.Random(0)
