@@ -23,7 +23,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import Error
+from .errors import Error, InvalidParam
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import DEFAULT_SLACK, LocalFilterL1
 from .functions import (
@@ -42,12 +42,16 @@ from . import exact
 
 
 def _parse_domain(spec: str):
-    if spec.startswith("cube:"):
-        return Hypercube(int(spec.split(":", 1)[1]))
-    if "," in spec:
-        n, d = spec.split(",", 1)
+    """'cube:d' hypercube, 'n,d' hypergrid, or a graph JSON source."""
+    if not spec.startswith("cube:") and "," not in spec:
+        return load_graph(spec)
+    try:
+        if spec.startswith("cube:"):
+            return Hypercube(int(spec[len("cube:"):]))
+        n, d = spec.split(",")
         return Hypergrid(int(n), int(d))
-    return load_graph(spec)
+    except ValueError:
+        raise InvalidParam(f"bad domain {spec!r}: expected 'cube:d' or 'n,d'") from None
 
 
 def _parse_seed(text: str | None) -> Seed:
@@ -246,7 +250,10 @@ def run_bench(dims, r, seed: Seed, *, queries: int = 30, pairs: int = 8,
 
 def _cmd_bench(args, parser):
     seed = _parse_seed(args.seed)
-    dims = [int(s) for s in args.dims.split(",")]
+    try:
+        dims = [int(s) for s in args.dims.split(",")]
+    except ValueError:
+        raise InvalidParam(f"bad --dims {args.dims!r}: expected integers") from None
     rows = run_bench(
         dims, args.r, seed, queries=args.queries, pairs=args.pairs,
         scan_budget=args.scan_budget, match_budget=args.match_budget)

@@ -159,8 +159,9 @@ class LocalFilterL1:
         and one rescan of c against the round-s table writes every positive
         score into both scans[c] and scans[y]: scores and ball membership
         are symmetric, so this gives the scans a fresh session would
-        compute.  Completing round s scanned every vertex, and the round-s
-        matcher has cached every adjacency, so it never asks for the
+        compute.  This relies on MatchingLCA reading each vertex's
+        neighbours once and caching them: completing round s read every
+        vertex through the round-s matcher, so it never asks for the
         updated scans.  A round at radius 0 makes no scans, so there is
         nothing to carry.
         """

@@ -9,29 +9,31 @@ base counter still moves once per wrapper read.
 """
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprs
 from .errors import InvalidInterval, InvalidParam, OutOfDomain, RangeViolation
-from .graphs import ExplicitGraph, Hypercube, Hypergrid
-
-UNDEFINED = None
+from .graphs import Hypercube, Hypergrid, load_graph, read_json
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q", "3", "0.25", ints, or Fractions into a Fraction."""
+    """Parse "p/q", "3", "0.25", ints, or Fractions into a Fraction.
+
+    Raises InvalidParam on text that is not a finite rational.
+    """
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
-    if isinstance(s, float):
-        # floats arrive from CLI flags; use their decimal rendering so that
-        # 0.25 means 1/4, not the nearest binary fraction of a repr quirk
-        return Fraction(repr(s))
-    return Fraction(str(s).strip())
+    # floats arrive from CLI flags; use their decimal rendering so that
+    # 0.25 means 1/4, not the nearest binary fraction of a repr quirk
+    text = repr(s) if isinstance(s, float) else str(s).strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParam(f"not a rational number: {text!r}") from None
 
 
 def format_rational(v: Fraction) -> str:
@@ -229,7 +231,7 @@ def _graph_from_domain(dom: dict):
     if kind == "hypercube":
         return Hypercube(int(dom["d"]))
     if kind == "explicit":
-        return ExplicitGraph(int(dom["vertices"]), dom.get("edges", []))
+        return load_graph(dom)
     raise OutOfDomain(f"unknown domain kind {kind!r}")
 
 
@@ -248,17 +250,7 @@ def load_function(source) -> tuple:
     Format: {"domain": {...}, "r": "p/q", "values": {canon: "p/q" | "?"},
     "default": "p/q" | "?"}.  ``source`` is a dict, JSON text, or a path.
     """
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except ValueError:
-            try:
-                with open(source) as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise InvalidParam(f"cannot read function {source!r}: {exc}") from exc
-    else:
-        data = source
+    data = read_json(source, "function")
     try:
         domain = data["domain"]
         r = data["r"]

@@ -16,7 +16,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, OutOfDomain, PartialFunction
+from .errors import BudgetExceeded, InvalidParam, OutOfDomain, PartialFunction
 
 Vertex = "tuple[int, ...] | int"
 
@@ -33,12 +33,28 @@ def _ball_limit(radius, open_: bool) -> int:
 
 
 class _BallMixin:
-    """Ball enumeration with an optional vertex budget.
+    """Vertex checks, canonical decoding, and balls with a vertex budget.
 
-    ``ball`` validates its arguments and hands the integer distance limit
-    to ``_ball``; the default ``_ball`` is a BFS over ``neighbors``, and a
+    ``check_vertex`` raises OutOfDomain unless the graph's ``contains``
+    accepts its argument.  ``from_canon`` inverts ``canon`` through the
+    graph's ``_decode`` and raises OutOfDomain on malformed text.  ``ball``
+    validates its arguments and hands the integer distance limit to
+    ``_ball``; the default ``_ball`` is a BFS over ``neighbors``, and a
     graph with a closed form for its balls overrides ``_ball`` alone.
     """
+
+    def check_vertex(self, x) -> None:
+        if not self.contains(x):
+            raise OutOfDomain(f"{x!r} is not a vertex of {self!r}")
+
+    def from_canon(self, s: str):
+        """The vertex whose ``canon`` is ``s``; OutOfDomain if there is none."""
+        try:
+            x = self._decode(s)
+        except ValueError:
+            raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}") from None
+        self.check_vertex(x)
+        return x
 
     def ball(self, x, radius, *, open_: bool = False, budget: int | None = None):
         """Vertices within ``radius`` of ``x`` as (vertex, dist) pairs.
@@ -104,10 +120,6 @@ class Hypergrid(_BallMixin):
             and all(isinstance(c, int) and 1 <= c <= self.n for c in x)
         )
 
-    def check_vertex(self, x) -> None:
-        if not self.contains(x):
-            raise OutOfDomain(f"{x!r} is not a vertex of {self!r}")
-
     def vertices(self) -> Iterator[tuple]:
         return itertools.product(range(1, self.n + 1), repeat=self.d)
 
@@ -134,13 +146,11 @@ class Hypergrid(_BallMixin):
     def canon(self, x) -> str:
         return "".join(str(c).zfill(self._width) for c in x)
 
-    def from_canon(self, s: str) -> tuple:
+    def _decode(self, s: str) -> tuple:
         w = self._width
         if len(s) != w * self.d:
-            raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}")
-        x = tuple(int(s[i : i + w]) for i in range(0, len(s), w))
-        self.check_vertex(x)
-        return x
+            raise ValueError("wrong length")
+        return tuple(int(s[i : i + w]) for i in range(0, len(s), w))
 
 
 class Hypercube(_BallMixin):
@@ -162,10 +172,6 @@ class Hypercube(_BallMixin):
 
     def contains(self, x) -> bool:
         return isinstance(x, tuple) and len(x) == self.d and all(c in (0, 1) for c in x)
-
-    def check_vertex(self, x) -> None:
-        if not self.contains(x):
-            raise OutOfDomain(f"{x!r} is not a vertex of {self!r}")
 
     def vertices(self) -> Iterator[tuple]:
         return itertools.product((0, 1), repeat=self.d)
@@ -207,10 +213,8 @@ class Hypercube(_BallMixin):
     def canon(self, x) -> str:
         return "".join(str(c) for c in x)
 
-    def from_canon(self, s: str) -> tuple:
-        x = tuple(int(c) for c in s)
-        self.check_vertex(x)
-        return x
+    def _decode(self, s: str) -> tuple:
+        return tuple(int(c) for c in s)
 
 
 class ExplicitGraph(_BallMixin):
@@ -249,10 +253,6 @@ class ExplicitGraph(_BallMixin):
     def contains(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.n_vertices
 
-    def check_vertex(self, x) -> None:
-        if not self.contains(x):
-            raise OutOfDomain(f"{x!r} is not a vertex of {self!r}")
-
     def vertices(self) -> Iterator[int]:
         return iter(range(self.n_vertices))
 
@@ -287,10 +287,8 @@ class ExplicitGraph(_BallMixin):
     def canon(self, x) -> str:
         return str(x).zfill(self._width)
 
-    def from_canon(self, s: str) -> int:
-        x = int(s)
-        self.check_vertex(x)
-        return x
+    def _decode(self, s: str) -> int:
+        return int(s)
 
 
 def random_vertex(graph, rng):
@@ -302,20 +300,38 @@ def random_vertex(graph, rng):
     return rng.randrange(graph.n_vertices)
 
 
+def read_json(source, what: str) -> dict:
+    """The JSON object ``source`` names: a dict, JSON text, or a file path.
+
+    Raises InvalidParam, naming ``what`` was being read, when the text or
+    the file cannot be read or does not hold a JSON object.
+    """
+    data = source
+    if isinstance(source, str):
+        try:
+            data = json.loads(source)
+        except ValueError:
+            try:
+                with open(source) as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise InvalidParam(f"cannot read {what} {source!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidParam(f"{what} document is not a JSON object")
+    return data
+
+
 def load_graph(source) -> ExplicitGraph:
     """Build an ExplicitGraph from {"vertices": N, "edges": [[u, v], ...]}.
 
     ``source`` may be a dict, a JSON string, or a path to a JSON file.
     """
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except ValueError:
-            with open(source) as fh:
-                data = json.load(fh)
-    else:
-        data = source
-    return ExplicitGraph(int(data["vertices"]), data.get("edges", []))
+    data = read_json(source, "graph")
+    try:
+        n = int(data["vertices"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParam(f"graph document needs an integer vertex count: {exc!r}") from None
+    return ExplicitGraph(n, data.get("edges", []))
 
 
 def graph_to_json(graph: ExplicitGraph) -> dict:

@@ -2,7 +2,9 @@
 
 Every edge gets a pseudorandom rank from the seed.  An edge is matched iff
 every adjacent edge of smaller rank is unmatched; this recursion is
-well-founded because ranks strictly decrease along it.  Verdicts depend
+well-founded because ranks strictly decrease along it, and it is explored
+in ascending rank, stopping at the first matched blocker (the local
+simulation of Yoshida, Yamamoto and Ito, STOC 2009).  Verdicts depend
 only on the seed and the graph, never on query order, and are memoized per
 instance.
 
@@ -12,6 +14,7 @@ violation-graph oracles built in this package are.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 from .errors import BudgetExceeded
 from .seeds import Seed, edge_rank
@@ -21,6 +24,13 @@ DEFAULT_EDGE_BUDGET = 1_000_000
 
 class MatchingLCA:
     """match_of queries against the greedy matching defined by ``seed``.
+
+    Each vertex's incident edges are read from the neighbor oracle once and
+    cached as ``(rank, edge)`` pairs in ascending rank, each edge ranked
+    once.  ``match_of`` walks that list; the blockers of an edge are the
+    entries of smaller rank in its endpoints' lists.  Every edge whose
+    verdict a top-level query (``match_of`` or ``edge_matched``) has to
+    compute counts once against ``budget``; memoized verdicts are free.
 
     Args:
         neighbors: callable vertex -> iterable of adjacent vertices.
@@ -35,93 +45,73 @@ class MatchingLCA:
         self._seed = seed
         self._encode = encode if encode is not None else str
         self._budget = budget
-        self._adj: dict = {}
+        self._used = 0  # edges explored by the current top-level query
+        self._incident_of: dict = {}  # vertex -> [(rank, edge)], ascending
         self._ranks: dict = {}
         self._verdict: dict = {}
         self._lock = threading.RLock()
 
-    def _adjacent(self, v):
-        cached = self._adj.get(v)
-        if cached is None:
-            cached = tuple(self._nbrs(v))
-            self._adj[v] = cached
-        return cached
-
-    @staticmethod
-    def _edge(u, v):
-        return (u, v) if u < v else (v, u)
-
-    def _rank(self, e):
-        r = self._ranks.get(e)
-        if r is None:
-            r = edge_rank(self._seed, self._encode(e[0]), self._encode(e[1]))
-            self._ranks[e] = r
-        return r
-
-    def _blockers(self, e):
-        """Adjacent edges of strictly smaller rank, ascending."""
-        u, v = e
-        mine = self._rank(e)
-        out = []
-        for a, b in ((u, v), (v, u)):
-            for w in self._adjacent(a):
-                if w == b:
-                    continue
-                other = self._edge(a, w)
-                if self._rank(other) < mine:
-                    out.append(other)
-        out.sort(key=self._rank)
+    def _incident(self, v) -> list:
+        out = self._incident_of.get(v)
+        if out is None:
+            out = []
+            for w in self._nbrs(v):
+                e = (v, w) if v < w else (w, v)
+                r = self._ranks.get(e)
+                if r is None:
+                    r = self._ranks[e] = edge_rank(
+                        self._seed, self._encode(e[0]), self._encode(e[1]))
+                out.append((r, e))
+            out.sort()
+            self._incident_of[v] = out
         return out
 
-    def _eval(self, root, state):
-        verdict = self._verdict
-        known = verdict.get(root)
-        if known is not None:
-            return known
-        state["used"] += 1
-        if state["used"] > self._budget:
+    def _open(self, rank, e) -> list:
+        """Charge ``e`` to the budget; its frame [edge, blockers, next]."""
+        self._used += 1
+        if self._used > self._budget:
             raise BudgetExceeded(f"matching exploration exceeded {self._budget} edges")
-        stack = [[root, self._blockers(root), 0]]
+        below = (rank,)  # sorts before every entry of this rank
+        pu, pv = self._incident(e[0]), self._incident(e[1])
+        blockers = pu[:bisect_left(pu, below)] + pv[:bisect_left(pv, below)]
+        blockers.sort()
+        return [e, blockers, 0]
+
+    def _eval(self, rank, root) -> bool:
+        verdict = self._verdict
+        if root in verdict:
+            return verdict[root]
+        stack = [self._open(rank, root)]
         while stack:
             frame = stack[-1]
             e, blockers, i = frame
-            matched = None
-            descend = None
-            while i < len(blockers):
-                bv = verdict.get(blockers[i])
-                if bv is None:
-                    descend = blockers[i]
-                    break
-                if bv:
-                    matched = False  # a smaller-rank neighbor is matched
-                    break
+            while i < len(blockers) and verdict.get(blockers[i][1]) is False:
                 i += 1
-                frame[2] = i
-            if descend is not None:
-                state["used"] += 1
-                if state["used"] > self._budget:
-                    raise BudgetExceeded(
-                        f"matching exploration exceeded {self._budget} edges"
-                    )
-                stack.append([descend, self._blockers(descend), 0])
+            frame[2] = i
+            if i < len(blockers) and blockers[i][1] not in verdict:
+                stack.append(self._open(*blockers[i]))
                 continue
-            verdict[e] = True if matched is None else matched
+            # matched iff no smaller-rank neighbouring edge is matched
+            verdict[e] = i == len(blockers)
             stack.pop()
         return verdict[root]
 
     def edge_matched(self, u, v) -> bool:
+        """Whether {u, v} is in the matching; False if it is not an edge."""
         with self._lock:
-            return self._eval(self._edge(u, v), {"used": 0})
+            self._used = 0
+            e = (u, v) if u < v else (v, u)
+            for rank, f in self._incident(u):
+                if f == e:
+                    return self._eval(rank, e)
+            return False
 
     def match_of(self, x):
         """Partner of ``x`` in the matching, or None if unmatched."""
         with self._lock:
-            state = {"used": 0}
-            incident = sorted(
-                (self._edge(x, w) for w in self._adjacent(x)), key=self._rank
-            )
-            for e in incident:
-                if self._eval(e, state):
+            self._used = 0
+            for rank, e in self._incident(x):
+                if self._eval(rank, e):
                     return e[1] if e[0] == x else e[0]
             return None
 
@@ -142,7 +132,7 @@ def greedy_maximal_matching(edges, seed: Seed, *, encode=None) -> dict:
     """
     enc = encode if encode is not None else str
     ordered = sorted(
-        {MatchingLCA._edge(u, v) for u, v in edges},
+        {(u, v) if u < v else (v, u) for u, v in edges},
         key=lambda e: edge_rank(seed, enc(e[0]), enc(e[1])),
     )
     partner: dict = {}

@@ -209,3 +209,38 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["filter", "--all"])
         assert info.value.code == 2
+
+    # malformed inputs exit 2 with an error line, never 1 (reject) with a
+    # traceback; "NOVERTICES" stands for a graph JSON file without "vertices"
+    MALFORMED = {
+        "domain path": ["oracle", "--expr", "sum()", "--range", "1",
+                        "--domain", "/nonexistent.json"],
+        "domain cube:x": ["oracle", "--expr", "sum()", "--range", "1",
+                          "--domain", "cube:x"],
+        "domain 3,x": ["oracle", "--expr", "sum()", "--range", "1",
+                       "--domain", "3,x"],
+        "graph without vertices": ["oracle", "--expr", "sum()", "--range", "1",
+                                   "--domain", "NOVERTICES"],
+        "range abc": ["oracle", "--expr", "sum()", "--domain", "cube:3",
+                      "--range", "abc"],
+        "range 1/0": ["oracle", "--expr", "sum()", "--domain", "cube:3",
+                      "--range", "1/0"],
+        "eps abc": ["test", "--expr", "sum()", "--domain", "cube:3",
+                    "--range", "3", "--eps", "abc", "--seed", SEED],
+        "slack zz": ["filter", "--expr", "sum()", "--domain", "cube:3",
+                     "--range", "3", "--slack", "zz", "--all", "--seed", SEED],
+        "query 1a11": ["filter", "--expr", "sum()", "--domain", "cube:4",
+                       "--range", "4", "--query", "1a11", "--seed", SEED],
+        "dims 6,x": ["bench", "--dims", "6,x", "--seed", SEED],
+    }
+
+    @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_exits_2(self, capsys, tmp_path, argv):
+        novertices = tmp_path / "novertices.json"
+        novertices.write_text(json.dumps({"edges": [[0, 1]]}))
+        argv = [str(novertices) if a == "NOVERTICES" else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""

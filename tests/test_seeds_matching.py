@@ -3,8 +3,10 @@ import threading
 
 import pytest
 
+from lipfilter import matching
 from lipfilter import (
     BudgetExceeded,
+    Hypercube,
     InvalidParam,
     MatchingLCA,
     Seed,
@@ -105,6 +107,17 @@ class TestMatchingLCA:
             expect = lca.match_of(u) == v
             assert lca.edge_matched(u, v) == expect
 
+    def test_edge_matched_false_on_non_edges(self):
+        rng = random.Random(8)
+        for trial in range(5):
+            g = random_connected_graph(rng, 12, extra=6)
+            lca = self.lca(g, seed_of(200 + trial))
+            edges = set(g.edges())
+            for u in g.vertices():
+                for v in g.vertices():
+                    if u != v and (min(u, v), max(u, v)) not in edges:
+                        assert lca.edge_matched(u, v) is False
+
     def test_budget(self):
         rng = random.Random(4)
         g = random_connected_graph(rng, 40, extra=30)
@@ -125,6 +138,57 @@ class TestMatchingLCA:
         lca._budget = 1
         second = [lca.match_of(x) for x in g.vertices()]
         assert first == second
+
+    # (graph, seed, smallest budget that answers every vertex in order)
+    BOUNDARIES = [
+        ("random 40", lambda: random_connected_graph(random.Random(4), 40, extra=30), 4, 10),
+        ("random 60", lambda: random_connected_graph(random.Random(6), 60, extra=120), 6, 23),
+        ("Hypercube(6)", lambda: Hypercube(6), 9, 13),
+    ]
+
+    @pytest.mark.parametrize("name,build,seed,budget", BOUNDARIES,
+                             ids=[b[0] for b in BOUNDARIES])
+    def test_budget_boundary(self, name, build, seed, budget):
+        g = build()
+        lca = self.lca(g, seed_of(seed), budget=budget)
+        for x in g.vertices():
+            lca.match_of(x)
+        tight = self.lca(g, seed_of(seed), budget=budget - 1)
+        with pytest.raises(BudgetExceeded):
+            for x in g.vertices():
+                tight.match_of(x)
+
+    def test_neighbor_oracle_read_once_per_vertex(self):
+        # LocalFilterL1._carry updates scans behind a finished round's
+        # matcher, which is safe only because no vertex is read twice
+        g = random_connected_graph(random.Random(10), 50, extra=60)
+        calls = []
+
+        def nbrs(x):
+            calls.append(x)
+            return g.neighbors(x)
+
+        lca = MatchingLCA(nbrs, seed_of(10), encode=g.canon)
+        for x in g.vertices():
+            lca.match_of(x)
+        for u, v in g.edges():
+            lca.edge_matched(u, v)
+        assert sorted(calls) == sorted(set(calls))
+        assert set(calls) == set(g.vertices())
+
+    def test_each_edge_ranked_once(self, monkeypatch):
+        g = Hypercube(5)
+        ranked = []
+
+        def counting_rank(seed, a, b):
+            ranked.append(tuple(sorted((a, b))))
+            return edge_rank(seed, a, b)
+
+        monkeypatch.setattr(matching, "edge_rank", counting_rank)
+        lca = self.lca(g, seed_of(11))
+        for x in g.vertices():
+            lca.match_of(x)
+        assert len(ranked) == len(set(ranked)) == len(list(g.edges()))
 
     def test_thread_safety(self):
         rng = random.Random(6)
