@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -42,16 +43,19 @@ from . import exact
 
 
 def _parse_domain(spec: str):
-    """'cube:d' hypercube, 'n,d' hypergrid, or a graph JSON source."""
-    if not spec.startswith("cube:") and "," not in spec:
+    """'cube:d' hypercube, 'n,d' hypergrid, or a graph JSON source: JSON
+    text or a file path, either of which may contain commas."""
+    if spec.lstrip().startswith("{") or os.path.exists(spec):
         return load_graph(spec)
     try:
         if spec.startswith("cube:"):
             return Hypercube(int(spec[len("cube:"):]))
-        n, d = spec.split(",")
-        return Hypergrid(int(n), int(d))
+        if "," in spec:
+            n, d = spec.split(",")
+            return Hypergrid(int(n), int(d))
     except ValueError:
         raise InvalidParam(f"bad domain {spec!r}: expected 'cube:d' or 'n,d'") from None
+    return load_graph(spec)
 
 
 def _parse_seed(text: str | None) -> Seed:
@@ -87,14 +91,19 @@ def _emit(obj) -> None:
 def _add_fn_args(p):
     p.add_argument("--function", help="path to a function JSON file")
     p.add_argument("--expr", help="coordinate expression, e.g. 'min(x1+x2, 3)'")
-    p.add_argument("--domain", help="'n,d' hypergrid, 'cube:d', or graph JSON path")
+    p.add_argument("--domain",
+                   help="'n,d' hypergrid, 'cube:d', or graph JSON text or path")
     p.add_argument("--range", help="range size r for --expr functions")
     p.add_argument("--seed", help="64 hex chars; random when omitted")
 
 
 def _budget_args(p):
-    p.add_argument("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET)
-    p.add_argument("--match-budget", type=int, default=DEFAULT_EDGE_BUDGET)
+    p.add_argument("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
+                   help="ball vertices per violation scan")
+    p.add_argument("--match-budget", type=int, default=DEFAULT_EDGE_BUDGET,
+                   help="matching edges explored per point query; l1 --all "
+                        "matches each round globally, bounded by the scan "
+                        "budget only")
 
 
 def _cmd_filter(args, parser):

@@ -7,8 +7,11 @@ After round T the maximum violation score is at most slack, so the output
 is (1 + slack)-Lipschitz; values never leave [lo, lo + r] and the l1
 distance to any fixed Lipschitz function never grows from round to round.
 
-The local filter simulates exactly this computation per query, sharing
-per-round matchings through the seeded matching LCA.
+The matching of round t is the random-order greedy maximal matching on
+ranks seeded by ``seed.derive("iter", t)``.  ``LocalFilterL1.table``
+computes each round globally from the carried scans; ``value`` simulates
+the same computation per query through the seeded matching LCA, which
+answers exactly the global greedy matching, so both give the same values.
 """
 from __future__ import annotations
 
@@ -70,17 +73,19 @@ def make_schedule(r, slack) -> Schedule:
 
 
 class LocalFilterL1:
-    """Per-query simulation of the round-based filter for one (f, seed).
+    """The round-based filter for one (f, seed), by point or by table.
 
     ``value(x)`` recurses through rounds, resolving each round's matching
-    locally; all verdicts, values, and violation scans are memoized so
-    repeated or bulk queries share work.  Round t scans the round t - 1
-    values at its own radius ``scan_radius(r, tau_t)``; once round t - 1
-    is complete its scans read the round t - 1 table directly.
-    ``table(t)`` drives the same recursion round by round over the whole
-    domain, and when the next round scans at the same radius it updates
-    the finished round's scans in place, rescanning only the values that
-    moved (see ``_carry``).
+    locally through the matching LCA; all verdicts, values, and violation
+    scans are memoized so repeated queries share work.  Round t scans the
+    round t - 1 values at its own radius ``scan_radius(r, tau_t)``; once
+    round t - 1 is complete its scans read the round t - 1 table directly.
+    ``table(t)`` computes each round globally instead: it completes the
+    finished round's scans, matches their violated pairs with the global
+    greedy matching on the same ranks, and, when the next round scans at
+    the same radius, updates the scans in place, rescanning only the
+    values that moved (see ``_round`` and ``_carry``).  Both share the
+    memoized values and scans, so they can be mixed in one session.
     """
 
     def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
@@ -151,31 +156,59 @@ class LocalFilterL1:
             radius=self._radii[t], budget=self.scan_budget,
         ))
 
-    def _carry(self, s: int, vertices) -> None:
+    def _round(self, s: int, vertices) -> dict:
+        """Compute round s over the whole domain once round s - 1 is complete.
+
+        The round s - 1 scans, carried or made by earlier ``value`` calls,
+        are completed, their pairs scoring above tau_s are matched by the
+        global greedy matching on the LCA's ranks, and each matched pair
+        moves by delta_s.  The new table replaces the values earlier
+        ``value`` calls memoized for round s, which equal it by
+        construction.  Returns the partner map, whose keys are exactly the
+        values that moved.
+        """
+        partner = {}
+        if self._radii[s] > 0:
+            tau = self.schedule.tau(s)
+            scans = self._scans.setdefault(s - 1, {})
+            edges = []
+            for v in vertices:
+                scan = scans.get(v)
+                if scan is None:
+                    scan = scans[v] = self._scan(v, s)
+                edges.extend((v, y) for y, score in scan.items()
+                             if v < y and score > tau)
+            partner = greedy_maximal_matching(
+                edges, self.seed.derive("iter", s), encode=self.graph.canon)
+        old = self._tables[s - 1]
+        new = dict(old)
+        delta = self.schedule.delta(s)
+        for u, w in partner.items():
+            new[u] = old[u] + delta if old[w] > old[u] else old[u] - delta
+        self._tables[s] = new
+        return partner
+
+    def _carry(self, s: int, moved) -> None:
         """Update the round s - 1 scans in place to round s once it is complete.
 
-        Round s + 1 can use them when it scans at round s's radius.  Each
-        value c that moved in round s leaves the scans of its old partners,
-        and one rescan of c against the round-s table writes every positive
-        score into both scans[c] and scans[y]: scores and ball membership
-        are symmetric, so this gives the scans a fresh session would
-        compute.  This relies on MatchingLCA reading each vertex's
-        neighbours once and caching them: completing round s read every
-        vertex through the round-s matcher, so it never asks for the
-        updated scans.  A round at radius 0 makes no scans, so there is
-        nothing to carry.
+        Round s + 1 can use them when it scans at round s's radius.
+        ``moved`` is the round's matched set, which is exactly the set of
+        values that moved.  Each moved value c leaves the scans of its old
+        partners, and one rescan of c against the round-s table writes
+        every positive score into both scans[c] and scans[y]: scores and
+        ball membership are symmetric, so this gives the scans a fresh
+        session would compute.  A round at radius 0 makes no scans, so
+        there is nothing to carry.
         """
         scans = self._scans.pop(s - 1, None)
         if scans is None or self._radii.get(s + 1) != self._radii[s]:
             return
-        new, old = self._tables[s], self._tables[s - 1]
-        for c in vertices:
-            if new[c] != old[c]:
-                for y in scans[c]:
-                    del scans[y][c]
-                scans[c] = self._scan(c, s + 1)
-                for y, score in scans[c].items():
-                    scans[y][c] = score
+        for c in moved:
+            for y in scans[c]:
+                del scans[y][c]
+            scans[c] = self._scan(c, s + 1)
+            for y, score in scans[c].items():
+                scans[y][c] = score
         self._scans[s] = scans
 
     # -- public API -----------------------------------------------------
@@ -190,20 +223,24 @@ class LocalFilterL1:
     def table(self, t: int | None = None) -> dict:
         """Full table at round t, computing rounds in order.
 
-        Each completed round updates its scans in place for the next round
-        (see ``_carry``), so a round at the previous round's scan radius
-        rescans only the values that moved.
+        Each round after the first is computed globally from the finished
+        round (see ``_round``), and each completed round updates its scans
+        in place for the next round (see ``_carry``), so a round at the
+        previous round's scan radius rescans only the values that moved.
         """
         t = self.schedule.rounds if t is None else t
         vertices = list(self.graph.vertices())
         for s in range(1, t + 1):
             if s in self._complete:
                 continue
-            for x in vertices:
-                self._value(x, s)
+            if s == 1:
+                for x in vertices:
+                    self._value(x, 1)
+                self._complete.add(1)
+                continue
+            moved = self._round(s, vertices)
             self._complete.add(s)
-            if s > 1:
-                self._carry(s, vertices)
+            self._carry(s, moved)
         return {x: self._tables[t][x] for x in vertices}
 
 

@@ -225,13 +225,18 @@ class RestrictedFunction(FunctionOracle):
 
 
 def _graph_from_domain(dom: dict):
+    if not isinstance(dom, dict):
+        raise InvalidParam(f"function domain must be a JSON object, got {dom!r}")
     kind = dom.get("kind")
-    if kind == "hypergrid":
-        return Hypergrid(int(dom["n"]), int(dom["d"]))
-    if kind == "hypercube":
-        return Hypercube(int(dom["d"]))
     if kind == "explicit":
         return load_graph(dom)
+    try:
+        if kind == "hypergrid":
+            return Hypergrid(int(dom["n"]), int(dom["d"]))
+        if kind == "hypercube":
+            return Hypercube(int(dom["d"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParam(f"{kind} domain needs integer sizes, got {dom!r}: {exc!r}") from None
     raise OutOfDomain(f"unknown domain kind {kind!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -232,10 +233,13 @@ class ExplicitGraph(_BallMixin):
         self.n_vertices = n_vertices
         adj: list[set] = [set() for _ in range(n_vertices)]
         edge_set = set()
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
+        try:
+            pairs = [(operator.index(u), operator.index(v)) for u, v in edges]
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgs(f"edges must be a list of integer pairs: {exc}") from None
+        for u, v in pairs:
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise OutOfDomain(f"edge {e!r} leaves vertex range 0..{n_vertices - 1}")
+                raise OutOfDomain(f"edge {[u, v]!r} leaves vertex range 0..{n_vertices - 1}")
             if u == v:
                 raise InvalidArgs(f"self-loop at {u} not allowed")
             adj[u].add(v)

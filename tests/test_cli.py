@@ -87,6 +87,32 @@ class TestOracle:
         assert out["lipschitz"] is True and out["l0"] == "0"
 
 
+PATH3 = {"vertices": 3, "edges": [[0, 1], [1, 2]]}
+
+
+class TestGraphDomain:
+    """--domain takes a graph as JSON text or as a path, commas and all."""
+
+    EXPECTED = {"cover": [], "l0": "0", "l1": "0", "lipschitz": True}
+
+    def test_json_text(self, capsys):
+        code, out = run(capsys, [
+            "oracle", "--expr", "x1", "--range", "2",
+            "--domain", json.dumps(PATH3),
+        ])
+        assert code == 0
+        assert out == self.EXPECTED
+
+    def test_path_with_comma(self, capsys, tmp_path):
+        path = tmp_path / "path,3.json"
+        path.write_text(json.dumps(PATH3))
+        code, out = run(capsys, [
+            "oracle", "--expr", "x1", "--range", "2", "--domain", str(path),
+        ])
+        assert code == 0
+        assert out == self.EXPECTED
+
+
 class TestTester:
     def test_accept(self, capsys):
         code, out = run(capsys, [
@@ -239,6 +265,47 @@ class TestErrors:
         novertices = tmp_path / "novertices.json"
         novertices.write_text(json.dumps({"edges": [[0, 1]]}))
         argv = [str(novertices) if a == "NOVERTICES" else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("spec, message", [
+        ("3,x", "bad domain"),
+        ("/nonexistent,dir/graph.json", "bad domain"),
+        ('{"vertices": 3, "edges": [[0, "a"]]}', "edges must be"),
+    ], ids=["3,x", "missing path with comma", "json text, bad edge"])
+    def test_domain_with_comma(self, capsys, spec, message):
+        code = main(["oracle", "--expr", "x1", "--range", "2", "--domain", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
+    # function documents (read by --function) and graph documents (read by
+    # --domain) whose structure is wrong
+    BAD_DOCUMENTS = {
+        "hypercube without d": ("function", {"kind": "hypercube"}),
+        "hypergrid n x": ("function", {"kind": "hypergrid", "n": "x", "d": 2}),
+        "domain cube": ("function", "cube"),
+        "edge [0]": ("graph", {"vertices": 3, "edges": [[0]]}),
+        "edge [0, a]": ("graph", {"vertices": 3, "edges": [[0, "a"]]}),
+        "edges 5": ("graph", {"vertices": 3, "edges": 5}),
+        "edge 12": ("graph", {"vertices": 3, "edges": ["12"]}),
+        "edge [0, 1.5]": ("graph", {"vertices": 3, "edges": [[0, 1.5]]}),
+    }
+
+    @pytest.mark.parametrize("kind, doc", BAD_DOCUMENTS.values(),
+                             ids=BAD_DOCUMENTS.keys())
+    def test_malformed_document_exits_2(self, capsys, tmp_path, kind, doc):
+        path = tmp_path / "doc.json"
+        if kind == "function":
+            path.write_text(json.dumps({"domain": doc, "r": "1", "values": {}}))
+            argv = ["oracle", "--function", str(path)]
+        else:
+            path.write_text(json.dumps(doc))
+            argv = ["oracle", "--expr", "x1", "--range", "2", "--domain", str(path)]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2

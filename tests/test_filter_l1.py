@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lipfilter import filter_l1
-from lipfilter.violation import scan_radius
+from lipfilter import filter_l1, matching
+from lipfilter.seeds import edge_rank
+from lipfilter.violation import _violated_pairs, scan_radius
 from lipfilter import (
     ExplicitGraph,
     Hypercube,
@@ -226,6 +227,73 @@ class TestScanCarry:
             fresh = LocalFilterL1(self.CUBE, f, seed)
             for x in self.CUBE.vertices():
                 assert filt.value(x) == fresh.value(x)
+
+
+class TestGlobalRounds:
+    """table() computes each round after the first globally: it completes
+    the finished round's scans, matches their violated pairs with the
+    global greedy matching and moves the matched values, so it never
+    queries the matching LCA that value() uses."""
+
+    def graph_instances(self):
+        return TestScanCarry().graph_instances()
+
+    def test_table_makes_no_match_of_call(self, monkeypatch):
+        def refuse(lca, x):
+            raise AssertionError("table() queried the matching LCA")
+
+        monkeypatch.setattr(matching.MatchingLCA, "match_of", refuse)
+        for g, f, seed in self.graph_instances():
+            assert LocalFilterL1(g, f, seed).table() == global_filter_l1(g, f, seed)
+
+    def test_mixed_session_matches_global_trace(self):
+        """Point queries before, between and after table() calls share one
+        session's memos and scans without changing any value."""
+        for g, f, seed in self.graph_instances():
+            trace = global_filter_l1(g, f, seed, trace=True)
+            filt = LocalFilterL1(g, f, seed)
+            rounds = filt.schedule.rounds
+            vertices = list(g.vertices())
+            rng = random.Random(7)
+            for x in rng.sample(vertices, 4):
+                assert filt.value(x) == trace[-1][x]
+            assert filt.table(3) == trace[2]
+            for x in rng.sample(vertices, 4):
+                assert filt.value(x, rounds - 1) == trace[-2][x]
+            assert filt.table() == trace[-1]
+            for t in range(1, rounds + 1):
+                assert filt.table(t) == trace[t - 1], (g, t)
+            for t in (2, 4, rounds):
+                for x in vertices:
+                    assert filt.value(x, t) == trace[t - 1][x], (g, t, x)
+
+    def test_each_violated_edge_ranked_once_per_round(self, monkeypatch):
+        g = TestScanCarry.CUBE
+        f = corrupted_lipschitz(g, random.Random(100), 3, k=8)
+        trace = global_filter_l1(g, f, seed_of(0), trace=True)
+        filt = LocalFilterL1(g, f, seed_of(0))
+        r = filt.schedule.r
+        expected = []
+        for t in range(2, filt.schedule.rounds + 1):
+            tau = filt.schedule.tau(t)
+            key = filt.seed.derive("iter", t).hex
+            expected += [
+                (key, g.canon(x), g.canon(y))
+                for x, y, score in _violated_pairs(
+                    g, trace[t - 2].get, r, radius=scan_radius(r, tau))
+                if score > tau
+            ]
+        ranked = []
+
+        def counting(seed, a, b):
+            ranked.append((seed.hex, *sorted((a, b))))
+            return edge_rank(seed, a, b)
+
+        monkeypatch.setattr(matching, "edge_rank", counting)
+        assert filt.table() == trace[-1]
+        assert expected
+        assert sorted(ranked) == sorted(expected)
+        assert len(set(ranked)) == len(ranked)
 
 
 class TestInvariants:

@@ -4,7 +4,11 @@ A rename in the library would otherwise surface only as a KeyError in a
 traced benchmark run; this pins every hook the tracer installs.
 """
 import importlib.util
+import random
 from pathlib import Path
+
+from lipfilter import Hypercube, LocalFilterL1
+from helpers import random_table, seed_of
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -28,3 +32,15 @@ def test_tracer_hooks_exist_and_are_restored():
                    for (owner, attr), original in zip(hooks, originals))
     assert all(owner.__dict__[attr] is original
                for (owner, attr), original in zip(hooks, originals))
+
+
+def test_table_ranks_are_traced():
+    """The tracer counts ranks by patching ``matching.edge_rank``, so an
+    l1 table must take its ranks through that module attribute."""
+    tracer = load_layertrace().Tracer()
+    g = Hypercube(5)
+    f = random_table(g, random.Random(3), 2)
+    with tracer.operation(0):
+        LocalFilterL1(g, f, seed_of(0)).table()
+    counts, _ = tracer.per_op[0]
+    assert counts.get("seeds.rank", 0) > 0
