@@ -9,9 +9,10 @@ distance to any fixed Lipschitz function never grows from round to round.
 
 The matching of round t is the random-order greedy maximal matching on
 ranks seeded by ``seed.derive("iter", t)``.  ``LocalFilterL1.table``
-computes each round globally from the carried scans; ``value`` simulates
-the same computation per query through the seeded matching LCA, which
-answers exactly the global greedy matching, so both give the same values.
+computes each round globally from one store of scans at the final round's
+radius, which holds every round's violated pairs; ``value`` simulates the
+same computation per query through the seeded matching LCA, which answers
+exactly the global greedy matching, so both give the same values.
 """
 from __future__ import annotations
 
@@ -76,16 +77,16 @@ class LocalFilterL1:
     """The round-based filter for one (f, seed), by point or by table.
 
     ``value(x)`` recurses through rounds, resolving each round's matching
-    locally through the matching LCA; all verdicts, values, and violation
-    scans are memoized so repeated queries share work.  Round t scans the
-    round t - 1 values at its own radius ``scan_radius(r, tau_t)``; once
-    round t - 1 is complete its scans read the round t - 1 table directly.
-    ``table(t)`` computes each round globally instead: it completes the
-    finished round's scans, matches their violated pairs with the global
-    greedy matching on the same ranks, and, when the next round scans at
-    the same radius, updates the scans in place, rescanning only the
-    values that moved (see ``_round`` and ``_carry``).  Both share the
-    memoized values and scans, so they can be mixed in one session.
+    locally through the matching LCA; all verdicts and values are memoized
+    so repeated queries share work.  Round t's neighbour oracle scans the
+    round t - 1 values at round t's own radius ``scan_radius(r, tau_t)``;
+    the LCA reads each vertex's neighbours once, so the scans need no
+    cache of their own.
+
+    ``table(t)`` computes each round globally instead, from one store of
+    scans at the final round's radius (see ``table``).  It shares the
+    round memos with ``value`` but not the scans, so the two can be mixed
+    in one session without changing any value.
     """
 
     def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
@@ -100,8 +101,8 @@ class LocalFilterL1:
         self._radii = {t: scan_radius(self.schedule.r, self.schedule.tau(t))
                        for t in range(2, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
-        self._scans: dict[int, dict] = {}  # version -> {vertex: {y: score}}
-        self._complete: set[int] = set()
+        self._done = 0  # last round table() has completed
+        self._scans: dict = {}  # table()'s {vertex: {y: score}} at the final radius
 
     # -- round values ---------------------------------------------------
 
@@ -128,15 +129,17 @@ class LocalFilterL1:
         m = self._matchers.get(t)
         if m is None:
             tau = self.schedule.tau(t)
+            radius = self._radii[t]
 
             def adjacent(v):
                 # at radius 0 no pair can be tau-violated (r - tau <= 1)
-                if self._radii[t] == 0:
+                if radius == 0:
                     return []
-                scans = self._scans.setdefault(t - 1, {})
-                if v not in scans:
-                    scans[v] = self._scan(v, t)
-                return [y for y, s in scans[v].items() if s > tau]
+                scan = scan_scored_neighbors(
+                    self.graph, lambda y: self._value(y, t - 1), self.schedule.r, v,
+                    radius=radius, budget=self.scan_budget,
+                )
+                return [y for y, s in scan if s > tau]
 
             m = MatchingLCA(
                 adjacent,
@@ -147,100 +150,79 @@ class LocalFilterL1:
             self._matchers[t] = m
         return m
 
-    def _scan(self, v, t: int) -> dict:
-        """Scan of v against the round t - 1 values at round t's radius."""
-        lookup = (self._tables[t - 1].get if t - 1 in self._complete
-                  else lambda y: self._value(y, t - 1))
-        return dict(scan_scored_neighbors(
-            self.graph, lookup, self.schedule.r, v,
-            radius=self._radii[t], budget=self.scan_budget,
-        ))
-
-    def _round(self, s: int, vertices) -> dict:
-        """Compute round s over the whole domain once round s - 1 is complete.
-
-        The round s - 1 scans, carried or made by earlier ``value`` calls,
-        are completed, their pairs scoring above tau_s are matched by the
-        global greedy matching on the LCA's ranks, and each matched pair
-        moves by delta_s.  The new table replaces the values earlier
-        ``value`` calls memoized for round s, which equal it by
-        construction.  Returns the partner map, whose keys are exactly the
-        values that moved.
-        """
-        partner = {}
-        if self._radii[s] > 0:
-            tau = self.schedule.tau(s)
-            scans = self._scans.setdefault(s - 1, {})
-            edges = []
-            for v in vertices:
-                scan = scans.get(v)
-                if scan is None:
-                    scan = scans[v] = self._scan(v, s)
-                edges.extend((v, y) for y, score in scan.items()
-                             if v < y and score > tau)
-            partner = greedy_maximal_matching(
-                edges, self.seed.derive("iter", s), encode=self.graph.canon)
-        old = self._tables[s - 1]
-        new = dict(old)
-        delta = self.schedule.delta(s)
-        for u, w in partner.items():
-            new[u] = old[u] + delta if old[w] > old[u] else old[u] - delta
-        self._tables[s] = new
-        return partner
-
-    def _carry(self, s: int, moved) -> None:
-        """Update the round s - 1 scans in place to round s once it is complete.
-
-        Round s + 1 can use them when it scans at round s's radius.
-        ``moved`` is the round's matched set, which is exactly the set of
-        values that moved.  Each moved value c leaves the scans of its old
-        partners, and one rescan of c against the round-s table writes
-        every positive score into both scans[c] and scans[y]: scores and
-        ball membership are symmetric, so this gives the scans a fresh
-        session would compute.  A round at radius 0 makes no scans, so
-        there is nothing to carry.
-        """
-        scans = self._scans.pop(s - 1, None)
-        if scans is None or self._radii.get(s + 1) != self._radii[s]:
-            return
-        for c in moved:
-            for y in scans[c]:
-                del scans[y][c]
-            scans[c] = self._scan(c, s + 1)
-            for y, score in scans[c].items():
-                scans[y][c] = score
-        self._scans[s] = scans
-
     # -- public API -----------------------------------------------------
 
-    def value(self, x, t: int | None = None) -> Fraction:
-        """g_t(x); t defaults to the final round."""
+    def _round_arg(self, t: int | None) -> int:
         t = self.schedule.rounds if t is None else t
         if not 1 <= t <= self.schedule.rounds:
             raise InvalidParam(f"round {t} outside 1..{self.schedule.rounds}")
-        return self._value(x, t)
+        return t
+
+    def value(self, x, t: int | None = None) -> Fraction:
+        """g_t(x); t defaults to the final round."""
+        return self._value(x, self._round_arg(t))
 
     def table(self, t: int | None = None) -> dict:
         """Full table at round t, computing rounds in order.
 
-        Each round after the first is computed globally from the finished
-        round (see ``_round``), and each completed round updates its scans
-        in place for the next round (see ``_carry``), so a round at the
-        previous round's scan radius rescans only the values that moved.
+        A pair tau_s-violated in round s sits within ``scan_radius(r,
+        tau_s)``, which grows with s, so one scan per vertex at the final
+        round's radius holds every round's edges.  Round 2 makes those
+        scans against round 1.  Each round s matches the pairs scoring
+        above tau_s with the global greedy matching on the LCA's ranks,
+        moves each matched value by delta_s, and replaces the values
+        ``value`` memoized for round s, which equal the new table by
+        construction.  Before the next round it updates the scans in
+        place: each moved value c leaves the scans of its old partners,
+        and one rescan of c against the new table writes every positive
+        score into both scans[c] and scans[y].  Scores and ball membership
+        are symmetric, so this gives the scans a fresh session would
+        make.  The final round drops the scans.  A final radius of 0
+        leaves every round without an edge and makes no scan.  A later
+        call resumes after the last round done.
         """
-        t = self.schedule.rounds if t is None else t
+        t = self._round_arg(t)
+        rounds = self.schedule.rounds
         vertices = list(self.graph.vertices())
-        for s in range(1, t + 1):
-            if s in self._complete:
-                continue
+        radius = self._radii.get(rounds, 0)
+        scans = self._scans
+
+        def scan(v, table):
+            return dict(scan_scored_neighbors(
+                self.graph, table.get, self.schedule.r, v,
+                radius=radius, budget=self.scan_budget,
+            ))
+
+        for s in range(self._done + 1, t + 1):
             if s == 1:
                 for x in vertices:
                     self._value(x, 1)
-                self._complete.add(1)
+                self._done = 1
                 continue
-            moved = self._round(s, vertices)
-            self._complete.add(s)
-            self._carry(s, moved)
+            old = self._tables[s - 1]
+            if s == 2 and radius > 0:
+                for v in vertices:
+                    scans[v] = scan(v, old)
+            tau = self.schedule.tau(s)
+            edges = [(v, y) for v, vs in scans.items()
+                     for y, score in vs.items() if v < y and score > tau]
+            partner = greedy_maximal_matching(
+                edges, self.seed.derive("iter", s), encode=self.graph.canon)
+            new = dict(old)
+            delta = self.schedule.delta(s)
+            for u, w in partner.items():
+                new[u] = old[u] + delta if old[w] > old[u] else old[u] - delta
+            self._tables[s] = new
+            self._done = s
+            if s == rounds:
+                scans.clear()
+                continue
+            for c in partner:
+                for y in scans[c]:
+                    del scans[y][c]
+                scans[c] = scan(c, new)
+                for y, score in scans[c].items():
+                    scans[y][c] = score
         return {x: self._tables[t][x] for x in vertices}
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import exprs
 from .errors import InvalidInterval, InvalidParam, OutOfDomain, RangeViolation
-from .graphs import Hypercube, Hypergrid, load_graph, read_json
+from .graphs import Hypercube, Hypergrid, load_graph, read_int, read_json
 
 
 def parse_rational(s) -> Fraction:
@@ -230,13 +230,11 @@ def _graph_from_domain(dom: dict):
     kind = dom.get("kind")
     if kind == "explicit":
         return load_graph(dom)
-    try:
-        if kind == "hypergrid":
-            return Hypergrid(int(dom["n"]), int(dom["d"]))
-        if kind == "hypercube":
-            return Hypercube(int(dom["d"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParam(f"{kind} domain needs integer sizes, got {dom!r}: {exc!r}") from None
+    what = f"{kind} domain"
+    if kind == "hypergrid":
+        return Hypergrid(read_int(dom, "n", what), read_int(dom, "d", what))
+    if kind == "hypercube":
+        return Hypercube(read_int(dom, "d", what))
     raise OutOfDomain(f"unknown domain kind {kind!r}")
 
 
@@ -262,9 +260,10 @@ def load_function(source) -> tuple:
     except (TypeError, KeyError) as exc:
         raise InvalidParam(f"function document missing {exc}") from exc
     graph = _graph_from_domain(domain)
-    values = {
-        graph.from_canon(k): parse_value(v) for k, v in data.get("values", {}).items()
-    }
+    values = data.get("values", {})
+    if not isinstance(values, dict):
+        raise InvalidParam(f"function values must be a JSON object, got {values!r}")
+    values = {graph.from_canon(k): parse_value(v) for k, v in values.items()}
     f = TableFunction(
         graph, values, parse_rational(r), default=data.get("default", "?")
     )

@@ -325,17 +325,24 @@ def read_json(source, what: str) -> dict:
     return data
 
 
+def read_int(data: dict, key: str, what: str) -> int:
+    """``data[key]`` where it is a JSON integer; InvalidParam, naming
+    ``what`` was being read, where it is missing or anything else (a
+    boolean, a float or a string)."""
+    v = data.get(key)
+    if type(v) is not int:
+        raise InvalidParam(f"{what} needs an integer {key!r}, got {v!r}")
+    return v
+
+
 def load_graph(source) -> ExplicitGraph:
     """Build an ExplicitGraph from {"vertices": N, "edges": [[u, v], ...]}.
 
     ``source`` may be a dict, a JSON string, or a path to a JSON file.
     """
     data = read_json(source, "graph")
-    try:
-        n = int(data["vertices"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParam(f"graph document needs an integer vertex count: {exc!r}") from None
-    return ExplicitGraph(n, data.get("edges", []))
+    return ExplicitGraph(read_int(data, "vertices", "graph document"),
+                         data.get("edges", []))
 
 
 def graph_to_json(graph: ExplicitGraph) -> dict:

@@ -89,7 +89,11 @@ def tolerant_test(graph, f, eps, seed: Seed, *, m: int | None = None,
                   scan_budget: int = DEFAULT_SCAN_BUDGET,
                   match_budget: int = DEFAULT_EDGE_BUDGET) -> TestReport:
     """Majority verdict over `reps` independent repetitions."""
-    params = make_params(graph.d, eps, m=m, reps=reps)
+    d = getattr(graph, "d", None)
+    if d is None:
+        raise InvalidParam(
+            f"the tester needs a hypercube or hypergrid, not {type(graph).__name__}")
+    params = make_params(d, eps, m=m, reps=reps)
     votes = 0
     estimates = []
     for k in range(params.reps):

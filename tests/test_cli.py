@@ -258,6 +258,10 @@ class TestErrors:
         "query 1a11": ["filter", "--expr", "sum()", "--domain", "cube:4",
                        "--range", "4", "--query", "1a11", "--seed", SEED],
         "dims 6,x": ["bench", "--dims", "6,x", "--seed", SEED],
+        "queries 0": ["bench", "--dims", "6", "--queries", "0", "--seed", SEED],
+        "test on explicit graph": ["test", "--expr", "x1", "--range", "2",
+                                   "--domain", '{"vertices":6,"edges":[[0,1]]}',
+                                   "--eps", "1/4", "--seed", SEED],
     }
 
     @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
@@ -294,6 +298,10 @@ class TestErrors:
         "edges 5": ("graph", {"vertices": 3, "edges": 5}),
         "edge 12": ("graph", {"vertices": 3, "edges": ["12"]}),
         "edge [0, 1.5]": ("graph", {"vertices": 3, "edges": [[0, 1.5]]}),
+        "vertices 2.7": ("graph", {"vertices": 2.7, "edges": [[0, 1]]}),
+        "vertices '3'": ("graph", {"vertices": "3", "edges": [[0, 1]]}),
+        "hypercube d true": ("function", {"kind": "hypercube", "d": True}),
+        "hypergrid d 2.0": ("function", {"kind": "hypergrid", "n": 3, "d": 2.0}),
     }
 
     @pytest.mark.parametrize("kind, doc", BAD_DOCUMENTS.values(),
@@ -310,4 +318,15 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("values", [[1, 2], "0:1", 3], ids=["list", "string", "int"])
+    def test_function_values_not_object_exits_2(self, capsys, tmp_path, values):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"domain": {"kind": "hypercube", "d": 2},
+                                    "r": "1", "values": values}))
+        code = main(["oracle", "--function", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "values" in captured.err
         assert captured.out == ""

@@ -124,26 +124,24 @@ def scan_radii(filt):
 
 
 def carried_moves(filt, trace):
-    """Values of a global trace that moved in a round s whose next round
-    scans at round s's radius > 0: the rescans table() makes in place."""
-    radius = scan_radii(filt)
+    """Values of a global trace that moved in rounds 2..T - 1: the rescans
+    table() makes in place before the next round."""
     return sum(
         trace[s - 1][x] != trace[s - 2][x]
         for s in range(2, filt.schedule.rounds)
-        if radius[s + 1] == radius[s] > 0
         for x in trace[s - 1]
     )
 
 
 class TestScanCarry:
-    """When round s + 1 scans at round s's radius, table() updates the
-    round s scans in place once round s completes: every value that moved
-    in round s is rescanned once, against the round-s table, and its
-    scores are written into its own scan and its partners'.  A round at a
-    new radius scans every vertex.  At r = 3 rounds 2, 3 and 4 have scan
-    radius 0, 1 and 2, and later rounds 2; at r = 2 round 2 has radius 0
-    and later rounds 1.  A radius-0 round makes no scan, since no pair can
-    be violated in it."""
+    """table() scans every vertex once, at the final round's radius, and
+    updates those scans in place after each round s < T: every value that
+    moved in round s is rescanned once, against the round-s table, and its
+    scores are written into its own scan and its partners'.  Each round
+    reads its edges from the same scans, filtered on score > tau_s.  At
+    r = 3 rounds 2, 3 and 4 have scan radius 0, 1 and 2, and later rounds
+    2; at r = 2 round 2 has radius 0 and later rounds 1.  A final radius
+    of 0 makes no scan, since no round can have a violated pair."""
 
     CUBE = Hypercube(8)
 
@@ -178,8 +176,8 @@ class TestScanCarry:
                 assert filt.table(t) == trace[t - 1], (g, t)
 
     def test_scan_count(self, monkeypatch):
-        """One scan per vertex in a round at a new radius > 0, and one per
-        moved value in a round at the previous round's radius."""
+        """One scan per vertex when the final radius is > 0, and one per
+        value moved in rounds 2..T - 1."""
         f = corrupted_lipschitz(self.CUBE, random.Random(100), 3, k=8)
         trace = global_filter_l1(self.CUBE, f, seed_of(0), trace=True)
         calls = []
@@ -191,15 +189,14 @@ class TestScanCarry:
 
         monkeypatch.setattr(filter_l1, "scan_scored_neighbors", counting)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0))
-        radius = scan_radii(filt)
-        full = sum(self.CUBE.n_vertices for t in radius
-                   if radius[t] > 0 and radius[t] != radius.get(t - 1))
+        assert scan_radii(filt)[filt.schedule.rounds] > 0
+        full = self.CUBE.n_vertices
         carried = carried_moves(filt, trace)
         assert filt.table() == trace[-1]
         assert carried > 0
         assert len(calls) == full + carried
 
-    def test_radius_zero_round_makes_no_scan(self, monkeypatch):
+    def record_radii(self, monkeypatch):
         radii = []
         scan = filter_l1.scan_scored_neighbors
 
@@ -208,11 +205,35 @@ class TestScanCarry:
             return scan(*args, radius=radius, **kwargs)
 
         monkeypatch.setattr(filter_l1, "scan_scored_neighbors", recording)
+        return radii
+
+    def test_radius_zero_round_makes_no_scan(self, monkeypatch):
+        radii = self.record_radii(monkeypatch)
         f = random_table(self.CUBE, random.Random(7), 2)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0))
         assert scan_radius(2, filt.schedule.tau(2)) == 0
         assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0))
         assert radii and 0 not in radii
+
+    def test_final_radius_zero_makes_no_scan(self, monkeypatch):
+        radii = self.record_radii(monkeypatch)
+        f = random_table(self.CUBE, random.Random(7), 2)
+        slack = Fraction(4, 3)
+        filt = LocalFilterL1(self.CUBE, f, seed_of(0), slack=slack)
+        assert scan_radii(filt) == {2: 0}
+        assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0), slack=slack)
+        assert radii == []
+
+    def test_scans_only_at_final_radius(self, monkeypatch):
+        """At r = 3 rounds scan at radii 0, 1 and 2 in value(); table()
+        scans at the last round's radius only."""
+        radii = self.record_radii(monkeypatch)
+        f = corrupted_lipschitz(self.CUBE, random.Random(100), 3, k=8)
+        filt = LocalFilterL1(self.CUBE, f, seed_of(0))
+        final = scan_radius(3, filt.schedule.final_threshold)
+        assert set(scan_radii(filt).values()) == {0, 1, 2}
+        assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0))
+        assert radii and set(radii) == {final}
 
     def test_partial_table_then_full(self):
         for f, seed in self.instances():
@@ -230,10 +251,10 @@ class TestScanCarry:
 
 
 class TestGlobalRounds:
-    """table() computes each round after the first globally: it completes
-    the finished round's scans, matches their violated pairs with the
-    global greedy matching and moves the matched values, so it never
-    queries the matching LCA that value() uses."""
+    """table() computes each round after the first globally: it reads the
+    round's violated pairs from its scans at the final radius, matches
+    them with the global greedy matching and moves the matched values, so
+    it never queries the matching LCA that value() uses."""
 
     def graph_instances(self):
         return TestScanCarry().graph_instances()
@@ -248,7 +269,7 @@ class TestGlobalRounds:
 
     def test_mixed_session_matches_global_trace(self):
         """Point queries before, between and after table() calls share one
-        session's memos and scans without changing any value."""
+        session's round memos without changing any value."""
         for g, f, seed in self.graph_instances():
             trace = global_filter_l1(g, f, seed, trace=True)
             filt = LocalFilterL1(g, f, seed)
@@ -353,6 +374,10 @@ class TestErrors:
             filt.value(0, t=0)
         with pytest.raises(InvalidParam):
             filt.value(0, t=99)
+        with pytest.raises(InvalidParam):
+            filt.table(0)
+        with pytest.raises(InvalidParam):
+            filt.table(99)
 
     def test_round_one_is_input(self):
         g, f = two_path()

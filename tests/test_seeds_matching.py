@@ -159,8 +159,9 @@ class TestMatchingLCA:
                 tight.match_of(x)
 
     def test_neighbor_oracle_read_once_per_vertex(self):
-        # LocalFilterL1._carry updates scans behind a finished round's
-        # matcher, which is safe only because no vertex is read twice
+        # LocalFilterL1's point queries scan inside the neighbor oracle
+        # with no scan cache, which costs one scan per vertex only
+        # because no vertex is read twice
         g = random_connected_graph(random.Random(10), 50, extra=60)
         calls = []
 
