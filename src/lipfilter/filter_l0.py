@@ -59,6 +59,18 @@ def global_filter_l0(graph, f, cover, *, lo=None):
     return g
 
 
+class _Memo(dict):
+    """f's values by vertex; a missing vertex is read from f once."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, x):
+        v = self[x] = self.f.lookup(x)
+        return v
+
+
 class LocalFilterL0:
     """Per-query access to the corrected function for one (f, seed) pair.
 
@@ -66,8 +78,10 @@ class LocalFilterL0:
     graph) are re-extended from the unmatched values within distance r;
     everything else passes through.  Caches inside a session are logically
     transparent: answers equal a fresh computation for every query order.
-    The range [lo, lo + r] is the oracle's; wrap it with ``clip`` for
-    another one.
+    The session memo is a dict of f's values that reads f on a miss, so f
+    is read once per distinct vertex; scans read it through its
+    ``__getitem__``, which makes a hit one dict access.  The range
+    [lo, lo + r] is the oracle's; wrap it with ``clip`` for another one.
     """
 
     def __init__(self, graph, f, seed: Seed, *,
@@ -77,22 +91,15 @@ class LocalFilterL0:
         self.r = f.r
         self.lo = f.lo
         self.scan_budget = scan_budget
-        self._values: dict = {}
+        self._values = _Memo(f)
         self._matcher = MatchingLCA(
             self._viol_adjacent, seed, encode=graph.canon, budget=match_budget
         )
 
-    def _lookup(self, x):
-        if x in self._values:
-            return self._values[x]
-        v = self.f.lookup(x)
-        self._values[x] = v
-        return v
-
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
         scored = scan_scored_neighbors(
-            self.graph, self._lookup, self.r, v, budget=self.scan_budget
+            self.graph, self._values.__getitem__, self.r, v, budget=self.scan_budget
         )
         return [y for y, _ in scored]
 
@@ -101,12 +108,15 @@ class LocalFilterL0:
 
     def value(self, x):
         """g(x).  Undefined exactly where f is undefined."""
-        fx = self._lookup(x)
+        # a memo hit skips f's vertex check, and (0.0, True) would hit (0, 1)
+        self.graph.check_vertex(x)
+        values = self._values
+        fx = values[x]
         if self.match_of(x) is None:
             return fx
         best = self.lo
         for y, d in self.graph.ball(x, self.r, budget=self.scan_budget):
-            fy = self._lookup(y)
+            fy = values[y]
             if fy is None or self.match_of(y) is not None:
                 continue
             cand = fy - d

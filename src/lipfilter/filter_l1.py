@@ -160,6 +160,8 @@ class LocalFilterL1:
 
     def value(self, x, t: int | None = None) -> Fraction:
         """g_t(x); t defaults to the final round."""
+        # a memo hit skips f's vertex check, and (0.0, True) would hit (0, 1)
+        self.graph.check_vertex(x)
         return self._value(x, self._round_arg(t))
 
     def table(self, t: int | None = None) -> dict:

@@ -4,8 +4,9 @@ Vertices of product graphs are coordinate tuples (1-based for hypergrids,
 0/1 for hypercubes); explicit graphs use integer ids.  Every graph exposes
 the same small surface: ``neighbors``, ``dist``, ``ball``, iteration, and a
 canonical string encoding used for ordering, hashing, and JSON keys.
-Hypercube balls are enumerated layer by layer by flipping coordinates, with
-no BFS; the other graphs share a BFS ball.
+Hypercube balls are enumerated layer by layer as XORs of the centre, read
+as an int, with cached masks of each Hamming weight; the other graphs share
+a BFS ball.
 """
 from __future__ import annotations
 
@@ -20,6 +21,14 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, InvalidParam, OutOfDomain, PartialFunction
 
 Vertex = "tuple[int, ...] | int"
+
+_ZERO_ONE = frozenset((0, 1))
+_INT = frozenset((int,))
+# _BITS_OF[w][b]: the w bits of b < 2^w as a tuple, most significant first
+# (product counts in binary)
+_BITS_OF = [list(itertools.product((0, 1), repeat=w)) for w in range(9)]
+# canon of a 0/1 tuple: its bytes with 0 and 1 read as the digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class InvalidArgs(OutOfDomain):
@@ -118,7 +127,7 @@ class Hypergrid(_BallMixin):
         return (
             isinstance(x, tuple)
             and len(x) == self.d
-            and all(isinstance(c, int) and 1 <= c <= self.n for c in x)
+            and all(type(c) is int and 1 <= c <= self.n for c in x)
         )
 
     def vertices(self) -> Iterator[tuple]:
@@ -167,12 +176,16 @@ class Hypercube(_BallMixin):
         self.n_vertices = 2**d
         self.max_degree = d
         self.diameter = d
+        # _masks[k]: the d-bit ints of Hamming weight k, built by _ball on use
+        self._masks = [[0]]
 
     def __repr__(self):
         return f"Hypercube(d={self.d})"
 
     def contains(self, x) -> bool:
-        return isinstance(x, tuple) and len(x) == self.d and all(c in (0, 1) for c in x)
+        # two C-level set tests: every coordinate is 0 or 1, and an exact int
+        return (isinstance(x, tuple) and len(x) == self.d
+                and {*x} <= _ZERO_ONE and {*map(type, x)} == _INT)
 
     def vertices(self) -> Iterator[tuple]:
         return itertools.product((0, 1), repeat=self.d)
@@ -187,22 +200,29 @@ class Hypercube(_BallMixin):
 
     def _ball(self, x, limit: int, budget: int | None):
         # The ball has sum_{k <= limit} C(d, k) vertices, so the budget is
-        # decided before any is built.  Layer k flips one coordinate past
-        # the last one flipped in layer k - 1, which builds each vertex once.
+        # decided before any is built.  With x read as an int, coordinate 0
+        # most significant, int order is tuple order: layer k is x XOR each
+        # weight-k mask, sorted.  The ints become tuples a byte at a time.
         d = self.d
         limit = min(limit, d)
         if budget is not None and sum(math.comb(d, k) for k in range(limit + 1)) > budget:
             return None
+        xi = int(bytes(x).translate(_DIGITS), 2)
+        masks = self._masks
+        while len(masks) <= limit:
+            # a mask gains only bits above its highest, so each is built once
+            masks.append([m | (1 << i) for m in masks[-1] for i in range(m.bit_length(), d)])
+        # the first 1 to 8 coordinates sit at shift top, whole bytes below
+        top = 8 * ((d - 1) // 8)
+        high, byte = _BITS_OF[d - top], _BITS_OF[8]
         out = [(x, 0)]
-        layer = [(x, -1)]
         for k in range(1, limit + 1):
-            layer = [
-                (v[:i] + (1 - v[i],) + v[i + 1 :], i)
-                for v, last in layer
-                for i in range(last + 1, d)
-            ]
-            layer.sort()  # vertices in a layer are distinct: sorts by vertex
-            out.extend([(v, k) for v, _ in layer])
+            layer = [xi ^ m for m in masks[k]]
+            layer.sort()
+            vs = [high[v >> top] for v in layer]
+            for shift in range(top - 8, -1, -8):
+                vs = [t + byte[(v >> shift) & 255] for t, v in zip(vs, layer)]
+            out.extend(zip(vs, itertools.repeat(k)))
         return out
 
     def edges(self) -> Iterator[tuple]:
@@ -212,7 +232,7 @@ class Hypercube(_BallMixin):
                     yield (x, x[:i] + (1,) + x[i + 1 :])
 
     def canon(self, x) -> str:
-        return "".join(str(c) for c in x)
+        return bytes(x).translate(_DIGITS).decode()
 
     def _decode(self, s: str) -> tuple:
         return tuple(int(c) for c in s)

@@ -1,4 +1,11 @@
-"""Every demo runs to completion against the library in ``src/``."""
+"""Every demo runs to completion against the library in ``src/`` and prints
+exactly its recorded output in ``tests/golden/``.
+
+The demos are deterministic, so a changed byte means a changed answer.
+Rewrite a golden file (``PYTHONPATH=src python demos/<name>.py >
+tests/golden/<name>.txt``) only for a change that is meant to change what
+the demo prints.
+"""
 import os
 import subprocess
 import sys
@@ -7,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", [
@@ -20,3 +28,4 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / demo).with_suffix(".txt").read_text()

@@ -5,9 +5,11 @@ import pytest
 
 from lipfilter import (
     ExplicitGraph,
+    Hypercube,
     Hypergrid,
     LocalFilterL0,
     NotACover,
+    OutOfDomain,
     TableFunction,
     global_filter_l0,
     is_c_lipschitz,
@@ -134,3 +136,23 @@ class TestLocal:
             f = random_table(g, rng, 3)
             for v in LocalFilterL0(g, f, seed_of(trial)).table().values():
                 assert 0 <= v <= 3
+
+    def test_memo_reads_each_vertex_once(self):
+        g = Hypercube(6)
+        rng = random.Random(8)
+        values = {x: "?" if rng.random() < 0.1 else rng.randrange(4) for x in g.vertices()}
+        f = TableFunction(g, values, 3)
+        filt = LocalFilterL0(g, f, seed_of(2))
+        first = filt.table()
+        assert f.lookups == g.n_vertices
+        assert filt.table() == first
+        assert f.lookups == g.n_vertices
+
+    def test_memo_hit_still_checks_the_vertex(self):
+        g = Hypercube(3)
+        f = TableFunction(g, {x: sum(x) for x in g.vertices()}, 3)
+        filt = LocalFilterL0(g, f, seed_of(0))
+        assert filt.value((0, 1, 1)) == 2
+        for x in [(0.0, 1, 1), (0, True, 1)]:
+            with pytest.raises(OutOfDomain):
+                filt.value(x)

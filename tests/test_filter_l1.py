@@ -12,6 +12,7 @@ from lipfilter import (
     Hypergrid,
     InvalidParam,
     LocalFilterL1,
+    OutOfDomain,
     PartialFunction,
     TableFunction,
     global_filter_l1,
@@ -378,6 +379,15 @@ class TestErrors:
             filt.table(0)
         with pytest.raises(InvalidParam):
             filt.table(99)
+
+    def test_memo_hit_still_checks_the_vertex(self):
+        g = Hypercube(3)
+        f = TableFunction(g, {x: sum(x) for x in g.vertices()}, 3)
+        filt = LocalFilterL1(g, f, seed_of(0))
+        filt.value((0, 1, 1))
+        for x in [(0.0, 1, 1), (0, True, 1)]:
+            with pytest.raises(OutOfDomain):
+                filt.value(x)
 
     def test_round_one_is_input(self):
         g, f = two_path()

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import time
@@ -71,6 +72,14 @@ class TestHypergrid:
         with pytest.raises(OutOfDomain):
             g.check_vertex("11")
 
+    def test_contains_exact_ints_only(self):
+        g = Hypergrid(3, 2)
+        for x in [(1.0, 2), (1, 2.0), (True, 2), (2, True), (1, 2, 3), [1, 2]]:
+            assert not g.contains(x)
+            with pytest.raises(OutOfDomain):
+                g.ball(x, 1)
+        assert g.contains((1, 2))
+
     def test_canon_round_trip_wide(self):
         g = Hypergrid(12, 2)
         assert g.canon((1, 12)) == "0112"
@@ -109,6 +118,27 @@ class TestHypercube:
         with pytest.raises(OutOfDomain):
             g.from_canon("012")
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_canon_is_digit_string(self, d):
+        g = Hypercube(d)
+        for x in g.vertices():
+            s = g.canon(x)
+            assert s == "".join(str(c) for c in x)
+            assert g.from_canon(s) == x
+
+    @pytest.mark.parametrize("x", [
+        (0.0, 1, 1), (0, 1, 1.0), (False, 1, 1), (0, True, 1), (True,) * 3,
+        (0, 1, 2), (0, -1, 1), (0, 1), (0, 1, 1, 0), [0, 1, 1], "011",
+    ], ids=repr)
+    def test_non_vertices_rejected(self, x):
+        g = Hypercube(3)
+        f = TableFunction(g, {v: sum(v) for v in g.vertices()}, 3)
+        assert not g.contains(x)
+        with pytest.raises(OutOfDomain):
+            f.lookup(x)
+        with pytest.raises(OutOfDomain):
+            g.ball(x, 1)
+
 
 class TestBall:
     def test_sorted_by_dist_then_vertex(self):
@@ -146,6 +176,32 @@ class TestBall:
                 for open_ in (False, True):
                     want = ref.ball(x, radius, open_=open_)
                     assert g.ball(x, radius, open_=open_) == want
+
+    @pytest.mark.parametrize("d", [7, 8, 9, 15, 16, 17])
+    def test_hypercube_equals_bfs_multibyte(self, d):
+        # Past d = 8 a vertex is built from several bytes.  A centre's BFS
+        # ball of radius d lists every smaller ball first, so the expected
+        # ball of each radius is a prefix of it.  Every radius gets the
+        # budget verdict at size - 1; each distinct ball is built once, at
+        # budget size.  Past d = 9 one centre: its BFS alone takes seconds.
+        g, ref = Hypercube(d), BfsHypercube(d)
+        rng = random.Random(d)
+        for _ in range(3 if d <= 9 else 1):
+            x = tuple(rng.randrange(2) for _ in range(d))
+            whole = ref.ball(x, d)
+            dists = [dist for _, dist in whole]
+            built = set()
+            for k in range(2 * d + 3):  # radii 0, 1/2, ..., d + 1
+                radius = Fraction(k, 2)
+                # the largest distance within k/2, closed and open
+                for open_, top in ((False, k // 2), (True, (k - 1) // 2)):
+                    want = whole[: bisect.bisect_right(dists, top)]
+                    if want:
+                        with pytest.raises(BudgetExceeded):
+                            g.ball(x, radius, open_=open_, budget=len(want) - 1)
+                    if top not in built:
+                        built.add(top)
+                        assert g.ball(x, radius, open_=open_, budget=len(want)) == want
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hypercube_budget_verdict_equals_bfs(self, d):
