@@ -57,8 +57,6 @@ from .graphs import (
     Hypercube,
     Hypergrid,
     graph_to_json,
-    is_c_lipschitz,
-    is_c_lipschitz_pairwise,
     load_graph,
     random_vertex,
 )
@@ -88,6 +86,7 @@ from .tester import (
 )
 from .violation import (
     DEFAULT_SCAN_BUDGET,
+    is_c_lipschitz,
     is_dangerous,
     max_violation_score,
     scan_scored_neighbors,

@@ -30,15 +30,13 @@ from .filter_l1 import DEFAULT_SLACK, LocalFilterL1
 from .functions import (
     ExprFunction, format_value, function_to_json, load_function, parse_rational,
 )
-from .graphs import (
-    Hypercube, Hypergrid, is_c_lipschitz, load_graph, random_vertex,
-)
+from .graphs import Hypercube, Hypergrid, load_graph, random_vertex
 from .hard import sample_hard_instance
 from .matching import DEFAULT_EDGE_BUDGET
 from .privacy import BinarySearchMechanism, FilterMechanism, NoiseSource
 from .seeds import Seed
 from .tester import tolerant_test
-from .violation import DEFAULT_SCAN_BUDGET
+from .violation import DEFAULT_SCAN_BUDGET, is_c_lipschitz
 from . import exact
 
 

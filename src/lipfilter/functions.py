@@ -169,7 +169,7 @@ class ExprFunction(FunctionOracle):
     def __init__(self, graph, program, r, *, lo=0):
         super().__init__(r, lo=lo, graph=graph)
         if isinstance(program, str):
-            d = getattr(graph, "d", None)
+            d = graph.d if isinstance(graph, Hypergrid) else None
             program = exprs.parse_expr(program, d)
         self.program = program
 
@@ -270,16 +270,11 @@ def load_function(source) -> tuple:
     return graph, f
 
 
-def function_to_json(graph, f, *, default=None) -> dict:
+def function_to_json(graph, f: FunctionOracle) -> dict:
     """Serialize a total or partial function by exhaustive lookup."""
-    values = {}
-    for x in graph.vertices():
-        v = f.lookup(x) if isinstance(f, FunctionOracle) else f.get(x)
-        values[graph.canon(x)] = format_value(v)
-    r = f.r if isinstance(f, FunctionOracle) else default
     return {
         "domain": _domain_to_json(graph),
-        "r": format_rational(parse_rational(r)),
-        "values": values,
+        "r": format_rational(f.r),
+        "values": {graph.canon(x): format_value(f.lookup(x)) for x in graph.vertices()},
         "default": "?",
     }

@@ -1,12 +1,14 @@
 """Graph oracles: hypergrids, hypercubes, and explicit adjacency lists.
 
-Vertices of product graphs are coordinate tuples (1-based for hypergrids,
-0/1 for hypercubes); explicit graphs use integer ids.  Every graph exposes
-the same small surface: ``neighbors``, ``dist``, ``ball``, iteration, and a
-canonical string encoding used for ordering, hashing, and JSON keys.
-Hypercube balls are enumerated layer by layer as XORs of the centre, read
-as an int, with cached masks of each Hamming weight; the other graphs share
-a BFS ball.
+Vertices of product graphs are coordinate tuples, from ``base`` to
+``base + n - 1`` in each coordinate: 1-based for hypergrids, and 0/1 for the
+hypercube, which is the hypergrid with n = 2 and coordinates from 0.
+Explicit graphs use integer ids.  Every graph exposes the same small
+surface: ``neighbors``, ``dist``, ``ball``, iteration, and a canonical
+string encoding used for ordering, hashing, and JSON keys, which
+``from_canon`` inverts exactly.  Hypercube balls are enumerated layer by
+layer as XORs of the centre, read as an int, with cached masks of each
+Hamming weight; the other graphs share a BFS ball.
 """
 from __future__ import annotations
 
@@ -15,10 +17,9 @@ import json
 import math
 import operator
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, InvalidParam, OutOfDomain, PartialFunction
+from .errors import BudgetExceeded, InvalidParam, OutOfDomain
 
 Vertex = "tuple[int, ...] | int"
 
@@ -46,8 +47,9 @@ class _BallMixin:
     """Vertex checks, canonical decoding, and balls with a vertex budget.
 
     ``check_vertex`` raises OutOfDomain unless the graph's ``contains``
-    accepts its argument.  ``from_canon`` inverts ``canon`` through the
-    graph's ``_decode`` and raises OutOfDomain on malformed text.  ``ball``
+    accepts its argument.  ``from_canon`` inverts ``canon`` exactly: it
+    decodes through the graph's ``_decode`` and raises OutOfDomain unless
+    the result is a vertex whose ``canon`` gives the text back.  ``ball``
     validates its arguments and hands the integer distance limit to
     ``_ball``; the default ``_ball`` is a BFS over ``neighbors``, and a
     graph with a closed form for its balls overrides ``_ball`` alone.
@@ -62,9 +64,12 @@ class _BallMixin:
         try:
             x = self._decode(s)
         except ValueError:
-            raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}") from None
-        self.check_vertex(x)
-        return x
+            pass
+        else:
+            # int() also reads signs, spaces and non-ASCII digits
+            if self.contains(x) and self.canon(x) == s:
+                return x
+        raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}")
 
     def ball(self, x, radius, *, open_: bool = False, budget: int | None = None):
         """Vertices within ``radius`` of ``x`` as (vertex, dist) pairs.
@@ -105,9 +110,13 @@ class _BallMixin:
 
 
 class Hypergrid(_BallMixin):
-    """The graph H_{n,d} on [n]^d with edges between points at l1-distance 1."""
+    """The graph H_{n,d} on [n]^d with edges between points at l1-distance 1.
+
+    Coordinates run from the class attribute ``base`` to ``base + n - 1``.
+    """
 
     kind = "hypergrid"
+    base = 1
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 1:
@@ -124,21 +133,23 @@ class Hypergrid(_BallMixin):
         return f"Hypergrid(n={self.n}, d={self.d})"
 
     def contains(self, x) -> bool:
+        lo, hi = self.base, self.base + self.n - 1
         return (
             isinstance(x, tuple)
             and len(x) == self.d
-            and all(type(c) is int and 1 <= c <= self.n for c in x)
+            and all(type(c) is int and lo <= c <= hi for c in x)
         )
 
     def vertices(self) -> Iterator[tuple]:
-        return itertools.product(range(1, self.n + 1), repeat=self.d)
+        return itertools.product(range(self.base, self.base + self.n), repeat=self.d)
 
     def neighbors(self, x) -> list[tuple]:
+        lo, hi = self.base, self.base + self.n - 1
         out = []
         for i, c in enumerate(x):
-            if c > 1:
+            if c > lo:
                 out.append(x[:i] + (c - 1,) + x[i + 1 :])
-            if c < self.n:
+            if c < hi:
                 out.append(x[:i] + (c + 1,) + x[i + 1 :])
         out.sort()
         return out
@@ -148,9 +159,10 @@ class Hypergrid(_BallMixin):
 
     def edges(self) -> Iterator[tuple]:
         """Each edge once, as (low, high) in coordinate order."""
+        hi = self.base + self.n - 1
         for x in self.vertices():
             for i, c in enumerate(x):
-                if c < self.n:
+                if c < hi:
                     yield (x, x[:i] + (c + 1,) + x[i + 1 :])
 
     def canon(self, x) -> str:
@@ -158,24 +170,23 @@ class Hypergrid(_BallMixin):
 
     def _decode(self, s: str) -> tuple:
         w = self._width
-        if len(s) != w * self.d:
-            raise ValueError("wrong length")
         return tuple(int(s[i : i + w]) for i in range(0, len(s), w))
 
 
-class Hypercube(_BallMixin):
-    """The Boolean cube {0,1}^d under Hamming distance."""
+class Hypercube(Hypergrid):
+    """The Boolean cube {0,1}^d under Hamming distance: the hypergrid with
+    n = 2 and coordinates from 0.
+
+    It keeps its own fast kernels for ``contains``, ``canon`` and balls.
+    """
 
     kind = "hypercube"
+    base = 0
 
     def __init__(self, d: int):
         if d < 1:
             raise InvalidArgs(f"hypercube needs d >= 1, got {d}")
-        self.d = d
-        self.n = 2
-        self.n_vertices = 2**d
-        self.max_degree = d
-        self.diameter = d
+        super().__init__(2, d)
         # _masks[k]: the d-bit ints of Hamming weight k, built by _ball on use
         self._masks = [[0]]
 
@@ -186,14 +197,6 @@ class Hypercube(_BallMixin):
         # two C-level set tests: every coordinate is 0 or 1, and an exact int
         return (isinstance(x, tuple) and len(x) == self.d
                 and {*x} <= _ZERO_ONE and {*map(type, x)} == _INT)
-
-    def vertices(self) -> Iterator[tuple]:
-        return itertools.product((0, 1), repeat=self.d)
-
-    def neighbors(self, x) -> list[tuple]:
-        out = [x[:i] + (1 - x[i],) + x[i + 1 :] for i in range(self.d)]
-        out.sort()
-        return out
 
     def dist(self, x, y) -> int:
         return sum(a != b for a, b in zip(x, y))
@@ -225,17 +228,8 @@ class Hypercube(_BallMixin):
             out.extend(zip(vs, itertools.repeat(k)))
         return out
 
-    def edges(self) -> Iterator[tuple]:
-        for x in self.vertices():
-            for i in range(self.d):
-                if x[i] == 0:
-                    yield (x, x[:i] + (1,) + x[i + 1 :])
-
     def canon(self, x) -> str:
         return bytes(x).translate(_DIGITS).decode()
-
-    def _decode(self, s: str) -> tuple:
-        return tuple(int(c) for c in s)
 
 
 class ExplicitGraph(_BallMixin):
@@ -317,10 +311,8 @@ class ExplicitGraph(_BallMixin):
 
 def random_vertex(graph, rng):
     """Uniform vertex draw that never materializes the vertex set."""
-    first = next(iter(graph.vertices()))
-    if isinstance(first, tuple):
-        base = first[0]
-        return tuple(base + rng.randrange(graph.n) for _ in range(graph.d))
+    if isinstance(graph, Hypergrid):
+        return tuple(graph.base + rng.randrange(graph.n) for _ in range(graph.d))
     return rng.randrange(graph.n_vertices)
 
 
@@ -368,41 +360,3 @@ def load_graph(source) -> ExplicitGraph:
 def graph_to_json(graph: ExplicitGraph) -> dict:
     return {"vertices": graph.n_vertices, "edges": [list(e) for e in graph.edges()]}
 
-
-def is_c_lipschitz(graph, f, c) -> bool:
-    """Edge-scan Lipschitz check: |f(x) - f(y)| <= c for every edge.
-
-    Requires a total function; raises PartialFunction on any ? value.  For
-    connected graphs the edge condition is equivalent to the pairwise one.
-    """
-    c = Fraction(c)
-    for u, v in graph.edges():
-        fu = f.lookup(u)
-        fv = f.lookup(v)
-        if fu is None or fv is None:
-            raise PartialFunction(f"edge scan hit undefined value at {u!r} or {v!r}")
-        if abs(fu - fv) > c:
-            return False
-    return True
-
-
-def is_c_lipschitz_pairwise(graph, f, c) -> bool:
-    """All-pairs Lipschitz check; skips ? values and disconnected pairs.
-
-    Quadratic in the number of vertices, intended for small graphs and for
-    partial functions where the edge scan does not apply.
-    """
-    c = Fraction(c)
-    defined = []
-    for x in graph.vertices():
-        v = f.lookup(x)
-        if v is not None:
-            defined.append((x, v))
-    for i, (x, fx) in enumerate(defined):
-        for y, fy in defined[i + 1 :]:
-            d = graph.dist(x, y)
-            if d is math.inf:
-                continue
-            if abs(fx - fy) > c * d:
-                return False
-    return True

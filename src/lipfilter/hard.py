@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidParam, RetryExhausted
 from .functions import CallableFunction, _domain_to_json, _graph_from_domain
+from .graphs import Hypergrid
 from .seeds import Seed
 
 DEFAULT_PAIRS = 8
@@ -23,10 +24,6 @@ DEFAULT_RETRY_CAP = 1000
 
 def separation_threshold(d: int, r: int) -> Fraction:
     return max(Fraction(d, 4), Fraction(r - 1))
-
-
-def _coord_base(graph) -> int:
-    return next(iter(graph.vertices()))[0]
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ def check_separation(graph, pairs, r: int, b: int) -> bool:
 
 def _random_at_distance(graph, a, dist, rng):
     """Uniform-ish point exactly `dist` steps from a: monotone coordinate moves."""
-    base = _coord_base(graph)
+    base = graph.base
     top = base + graph.n - 1
     cur = list(a)
     moved_dir = {}
@@ -136,7 +133,7 @@ def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
         raise InvalidParam("b must be 0 or 1")
     if m < 1:
         raise InvalidParam("m must be positive")
-    if getattr(graph, "d", None) is None or getattr(graph, "n", None) is None:
+    if not isinstance(graph, Hypergrid):
         raise InvalidParam("hard instances need a hypergrid-style domain")
     if r - b > (graph.n - 1) * graph.d:
         raise InvalidParam("r exceeds the domain diameter")
@@ -147,10 +144,7 @@ def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
     placed = []
     for _ in range(m):
         for _attempt in range(retry_cap):
-            a = tuple(
-                _coord_base(graph) + rng.randrange(graph.n)
-                for _ in range(graph.d)
-            )
+            a = tuple(graph.base + rng.randrange(graph.n) for _ in range(graph.d))
             ap = _random_at_distance(graph, a, r - b, rng)
             if all(
                 graph.dist(u, w) > thr for u in (a, ap) for w in placed

@@ -35,15 +35,14 @@ class MatchingLCA:
     Args:
         neighbors: callable vertex -> iterable of adjacent vertices.
         seed: rank PRF key.
-        encode: canonical vertex encoding (use graph.canon); defaults to
-            str, which is fine for ints and tuples on a single machine.
+        encode: canonical vertex encoding (graph.canon).
         budget: cap on newly explored edges per top-level query.
     """
 
-    def __init__(self, neighbors, seed: Seed, *, encode=None, budget=DEFAULT_EDGE_BUDGET):
+    def __init__(self, neighbors, seed: Seed, *, encode, budget=DEFAULT_EDGE_BUDGET):
         self._nbrs = neighbors
         self._seed = seed
-        self._encode = encode if encode is not None else str
+        self._encode = encode
         self._budget = budget
         self._used = 0  # edges explored by the current top-level query
         self._incident_of: dict = {}  # vertex -> [(rank, edge)], ascending
@@ -124,16 +123,15 @@ class MatchingLCA:
         return out
 
 
-def greedy_maximal_matching(edges, seed: Seed, *, encode=None) -> dict:
+def greedy_maximal_matching(edges, seed: Seed, *, encode) -> dict:
     """Global reference: scan all edges by ascending rank, keep the free ones.
 
     Returns a symmetric partner map.  Produces exactly the matching that
     MatchingLCA answers pointwise for the same seed.
     """
-    enc = encode if encode is not None else str
     ordered = sorted(
         {(u, v) if u < v else (v, u) for u, v in edges},
-        key=lambda e: edge_rank(seed, enc(e[0]), enc(e[1])),
+        key=lambda e: edge_rank(seed, encode(e[0]), encode(e[1])),
     )
     partner: dict = {}
     for u, v in ordered:

@@ -23,6 +23,7 @@ from .errors import InvalidParam
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
 from .functions import Interval, parse_rational
+from .graphs import Hypergrid
 from .matching import DEFAULT_EDGE_BUDGET
 from .seeds import Seed
 from .violation import DEFAULT_SCAN_BUDGET
@@ -107,10 +108,8 @@ class BinarySearchMechanism:
             raise InvalidParam("eps must be positive")
 
         r = parse_rational(f.r if r_opt is None else r_opt)
-        n = getattr(graph, "n", None)
-        d = getattr(graph, "d", None)
-        if n is not None and d is not None:
-            r = min(r, Fraction(n * d))
+        if isinstance(graph, Hypergrid):
+            r = min(r, Fraction(graph.n * graph.d))
         if r < 2:
             raise InvalidParam("search needs range at least 2")
         self.graph = graph

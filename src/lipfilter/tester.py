@@ -18,7 +18,7 @@ from .errors import InvalidParam, PartialFunction
 from .exact import min_vertex_cover
 from .filter_l0 import LocalFilterL0
 from .functions import Interval, parse_rational
-from .graphs import random_vertex
+from .graphs import Hypergrid, random_vertex
 from .matching import DEFAULT_EDGE_BUDGET
 from .seeds import Seed
 from .violation import DEFAULT_SCAN_BUDGET, violation_edges
@@ -89,11 +89,10 @@ def tolerant_test(graph, f, eps, seed: Seed, *, m: int | None = None,
                   scan_budget: int = DEFAULT_SCAN_BUDGET,
                   match_budget: int = DEFAULT_EDGE_BUDGET) -> TestReport:
     """Majority verdict over `reps` independent repetitions."""
-    d = getattr(graph, "d", None)
-    if d is None:
+    if not isinstance(graph, Hypergrid):
         raise InvalidParam(
             f"the tester needs a hypercube or hypergrid, not {type(graph).__name__}")
-    params = make_params(d, eps, m=m, reps=reps)
+    params = make_params(graph.d, eps, m=m, reps=reps)
     votes = 0
     estimates = []
     for k in range(params.reps):

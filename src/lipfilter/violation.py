@@ -1,4 +1,5 @@
-"""Violation scores and threshold violation graphs.
+"""Violation scores, threshold violation graphs, and the edge-scan
+Lipschitz check.
 
 A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import PartialFunction
 
 DEFAULT_SCAN_BUDGET = 200_000
 
@@ -102,3 +105,22 @@ def max_violation_score(graph, f, *, budget=DEFAULT_SCAN_BUDGET) -> Fraction:
         (s for _, _, s in _violated_pairs(graph, values.get, f.r, budget=budget)),
         default=Fraction(0),
     )
+
+
+def is_c_lipschitz(graph, f, c) -> bool:
+    """Edge-scan Lipschitz check: |f(x) - f(y)| <= c for every edge.
+
+    Requires a total function; raises PartialFunction on any ? value.  For
+    connected graphs the edge condition is equivalent to the pairwise one;
+    ``max_violation_score(graph, f) == 0`` is the pairwise check at c = 1,
+    which also takes partial functions.
+    """
+    c = Fraction(c)
+    for u, v in graph.edges():
+        fu = f.lookup(u)
+        fv = f.lookup(v)
+        if fu is None or fv is None:
+            raise PartialFunction(f"edge scan hit undefined value at {u!r} or {v!r}")
+        if abs(fu - fv) > c:
+            return False
+    return True

@@ -330,3 +330,15 @@ class TestErrors:
         assert code == 2
         assert captured.err.startswith("error:") and "values" in captured.err
         assert captured.out == ""
+
+    def test_non_canonical_value_key_exits_2(self, capsys, tmp_path):
+        # "١" is ARABIC-INDIC DIGIT ONE, which int() reads as 1: a second
+        # key for the vertex (1,) that must not replace its value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"domain": {"kind": "hypercube", "d": 1}, "r": "2",
+                                    "values": {"0": "0", "1": "1", "١": "2"}}))
+        code = main(["filter", "--function", str(path), "--all", "--seed", SEED])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "١" in captured.err
+        assert captured.out == ""

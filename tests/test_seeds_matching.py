@@ -216,5 +216,5 @@ class TestMatchingLCA:
 
     def test_isolated_vertex(self):
         g = random_connected_graph(random.Random(7), 5)
-        lca = MatchingLCA(lambda x: (), seed_of(1))
+        lca = MatchingLCA(lambda x: (), seed_of(1), encode=str)
         assert lca.match_of(3) is None

@@ -142,6 +142,13 @@ class TestWholeGraph:
             assert violation_edges(g, f) == []
             assert max_violation_score(g, f) == 0
 
+    def test_skips_holes_and_islands(self):
+        g = ExplicitGraph(4, [(0, 1)])  # 2 and 3 disconnected
+        f = TableFunction(g, {0: 0, 1: 1, 2: 5, 3: 0}, 5)
+        assert max_violation_score(g, f) == 0
+        partial = TableFunction(g, {0: 0, 1: 3}, 5)  # 2 and 3 undefined
+        assert max_violation_score(g, partial) == 2
+
     def test_edges_listed_once(self):
         g = Hypergrid(3, 2)
         values = {x: 0 for x in g.vertices()}
