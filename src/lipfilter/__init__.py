@@ -87,10 +87,8 @@ from .tester import (
 from .violation import (
     DEFAULT_SCAN_BUDGET,
     is_c_lipschitz,
-    is_dangerous,
     max_violation_score,
     scan_scored_neighbors,
-    viol_neighbors,
     violation_edges,
     violation_score,
 )

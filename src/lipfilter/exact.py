@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapExceeded, InvalidParam, SizeExceeded
+from .errors import CapExceeded, InvalidParam, PartialFunction, SizeExceeded
 from .simplex import solve_min
 from .violation import violation_edges
 
@@ -78,8 +78,9 @@ def exact_l1_distance(graph, f, *, max_vertices=64, with_witness=False):
     """Normalized l1 distance from f to the nearest Lipschitz function.
 
     Solves min (1/N) sum |g(x) - f(x)| over 1-Lipschitz g exactly.  With
-    `with_witness` also returns an optimal g as a dict.  Restricted to
-    tiny domains because the LP tableau is dense.
+    `with_witness` also returns an optimal g as a dict.  Raises
+    PartialFunction at the first ? value.  Restricted to tiny domains
+    because the LP tableau is dense.
     """
     n = graph.n_vertices
     if n > max_vertices:
@@ -93,7 +94,11 @@ def exact_l1_distance(graph, f, *, max_vertices=64, with_witness=False):
     A = []
     b = []
     for i, x in enumerate(verts):
-        fx = f.lookup(x) - lo
+        fx = f.lookup(x)
+        if fx is None:
+            raise PartialFunction(
+                f"l1 distance needs a total function; f({graph.canon(x)}) = ?")
+        fx -= lo
         row = [Fraction(0)] * (2 * n)
         row[i] = Fraction(1)
         row[n + i] = Fraction(1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NotACover, PartialFunction
 from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET, scan_scored_neighbors
+from .violation import DEFAULT_SCAN_BUDGET, scan_radius, scan_scored_neighbors
 
 
 def global_filter_l0(graph, f, cover, *, lo=None):
@@ -91,6 +91,7 @@ class LocalFilterL0:
         self.r = f.r
         self.lo = f.lo
         self.scan_budget = scan_budget
+        self._radius = scan_radius(f.r, 0)
         self._values = _Memo(f)
         self._matcher = MatchingLCA(
             self._viol_adjacent, seed, encode=graph.canon, budget=match_budget
@@ -98,10 +99,8 @@ class LocalFilterL0:
 
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
-        scored = scan_scored_neighbors(
-            self.graph, self._values.__getitem__, self.r, v, budget=self.scan_budget
-        )
-        return [y for y, _ in scored]
+        return list(scan_scored_neighbors(self.graph, self._values.__getitem__, v,
+                                          radius=self._radius, budget=self.scan_budget))
 
     def match_of(self, x):
         return self._matcher.match_of(x)

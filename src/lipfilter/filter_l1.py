@@ -136,10 +136,10 @@ class LocalFilterL1:
                 if radius == 0:
                     return []
                 scan = scan_scored_neighbors(
-                    self.graph, lambda y: self._value(y, t - 1), self.schedule.r, v,
+                    self.graph, lambda y: self._value(y, t - 1), v,
                     radius=radius, budget=self.scan_budget,
                 )
-                return [y for y, s in scan if s > tau]
+                return [y for y, s in scan.items() if s > tau]
 
             m = MatchingLCA(
                 adjacent,
@@ -190,10 +190,8 @@ class LocalFilterL1:
         scans = self._scans
 
         def scan(v, table):
-            return dict(scan_scored_neighbors(
-                self.graph, table.get, self.schedule.r, v,
-                radius=radius, budget=self.scan_budget,
-            ))
+            return scan_scored_neighbors(
+                self.graph, table.get, v, radius=radius, budget=self.scan_budget)
 
         for s in range(self._done + 1, t + 1):
             if s == 1:
@@ -255,8 +253,7 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
         edges = [
             (x, y)
             for x, y, s in _violated_pairs(
-                graph, current.get, schedule.r,
-                radius=scan_radius(schedule.r, tau), budget=scan_budget,
+                graph, current.get, radius=scan_radius(schedule.r, tau), budget=scan_budget
             )
             if s > tau
         ]

@@ -84,7 +84,8 @@ class _BallMixin:
             return []
         out = self._ball(x, limit, budget)
         if out is None:
-            raise BudgetExceeded(f"ball({x}, {radius}) exceeded vertex budget {budget}")
+            raise BudgetExceeded(
+                f"ball({self.canon(x)}, {radius}) exceeded vertex budget {budget}")
         return out
 
     def _ball(self, x, limit: int, budget: int | None):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidParam, RetryExhausted
 from .functions import CallableFunction, _domain_to_json, _graph_from_domain
-from .graphs import Hypergrid
+from .graphs import Hypergrid, read_int
 from .seeds import Seed
 
 DEFAULT_PAIRS = 8
@@ -125,18 +125,22 @@ def _random_at_distance(graph, a, dist, rng):
     return tuple(cur)
 
 
-def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
-                         retry_cap: int = DEFAULT_RETRY_CAP) -> HardInstance:
+def _check_params(graph, r, b):
     if not (isinstance(r, int) and r >= 2 and r % 2 == 0):
         raise InvalidParam("r must be an even integer >= 2")
     if b not in (0, 1):
         raise InvalidParam("b must be 0 or 1")
-    if m < 1:
-        raise InvalidParam("m must be positive")
     if not isinstance(graph, Hypergrid):
         raise InvalidParam("hard instances need a hypergrid-style domain")
     if r - b > (graph.n - 1) * graph.d:
         raise InvalidParam("r exceeds the domain diameter")
+
+
+def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
+                         retry_cap: int = DEFAULT_RETRY_CAP) -> HardInstance:
+    _check_params(graph, r, b)
+    if m < 1:
+        raise InvalidParam("m must be positive")
 
     rng = random.Random(int(seed.hex, 16))
     thr = separation_threshold(graph.d, r)
@@ -159,8 +163,16 @@ def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
 
 
 def hard_instance_from_json(data) -> HardInstance:
+    """The instance ``to_json`` wrote; InvalidParam unless r, b, the domain
+    and the anchors pass the checks ``sample_hard_instance`` makes."""
     graph = _graph_from_domain(data["domain"])
+    r = read_int(data, "r", "hard instance")
+    b = read_int(data, "b", "hard instance")
+    _check_params(graph, r, b)
     pairs = tuple(
         (graph.from_canon(a), graph.from_canon(ap)) for a, ap in data["anchors"]
     )
-    return HardInstance(graph=graph, r=int(data["r"]), b=int(data["b"]), pairs=pairs)
+    if not check_separation(graph, pairs, r, b):
+        raise InvalidParam(f"anchor pairs must sit at distance r - b = {r - b} and "
+                           f"more than {separation_threshold(graph.d, r)} from other pairs")
+    return HardInstance(graph=graph, r=r, b=b, pairs=pairs)

@@ -69,7 +69,8 @@ class MatchingLCA:
         """Charge ``e`` to the budget; its frame [edge, blockers, next]."""
         self._used += 1
         if self._used > self._budget:
-            raise BudgetExceeded(f"matching exploration exceeded {self._budget} edges")
+            raise BudgetExceeded(f"matching exploration exceeded {self._budget} edges at "
+                                 f"({self._encode(e[0])}, {self._encode(e[1])})")
         below = (rank,)  # sorts before every entry of this rank
         pu, pv = self._incident(e[0]), self._incident(e[1])
         blockers = pu[:bisect_left(pu, below)] + pv[:bisect_left(pv, below)]

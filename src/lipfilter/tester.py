@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam, PartialFunction
-from .exact import min_vertex_cover
+from .exact import exact_l0_distance
 from .filter_l0 import LocalFilterL0
 from .functions import Interval, parse_rational
 from .graphs import Hypergrid, random_vertex
 from .matching import DEFAULT_EDGE_BUDGET
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET, violation_edges
+from .violation import DEFAULT_SCAN_BUDGET
 
 MIN_DIMENSION = 4
 MAX_EPS = Fraction(1, 3)
@@ -113,6 +113,4 @@ def eps_of_interval(graph, f, interval: Interval, *, cap=None) -> Fraction:
     Equals |min vertex cover of the violation graph of f_I| / N.  Used to
     certify how far reject instances stay from Lipschitz inside a window.
     """
-    restricted = f.restrict(interval)
-    cover = min_vertex_cover(violation_edges(graph, restricted), cap=cap)
-    return Fraction(len(cover), graph.n_vertices)
+    return exact_l0_distance(graph, f.restrict(interval), cap=cap)

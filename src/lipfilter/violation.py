@@ -1,11 +1,11 @@
-"""Violation scores, threshold violation graphs, and the edge-scan
-Lipschitz check.
+"""Violation scores, the one violation scan, and the edge-scan Lipschitz
+check.
 
 A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
 Because defined values span at most the range diameter r, every
-tau-violated partner of x sits within ``scan_radius(r, tau)``, which
-bounds the ball each scan enumerates.
+tau-violated partner of x sits within ``scan_radius(r, tau)``, which is
+the radius every caller hands ``scan_scored_neighbors``.
 """
 from __future__ import annotations
 
@@ -35,23 +35,21 @@ def violation_score(graph, f, x, y) -> Fraction:
     return max(Fraction(0), abs(fx - fy) - d)
 
 
-def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SCAN_BUDGET):
-    """All y with positive violation score against x, as sorted (y, score)
-    with every score a Fraction.
+def scan_scored_neighbors(graph, lookup, x, *, radius, budget=DEFAULT_SCAN_BUDGET):
+    """{y: score} for every y within ``radius`` of x whose violation score
+    against x is positive, in ball order, with every score a Fraction.
 
-    ``lookup`` is any callable vertex -> Fraction | None.  The scan covers
-    the closed ball of ``radius`` (default ``scan_radius(r, 0)``, enough
-    for every tau >= 0 given range diameter r).
+    ``lookup`` is any callable vertex -> Fraction | None.  The tau-violated
+    partners of x are the entries scoring above tau at radius
+    ``scan_radius(r, tau)``.
     """
     fx = lookup(x)
     if fx is None:
-        return []
-    if radius is None:
-        radius = scan_radius(r, 0)
+        return {}
     # With fx = a/b and fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e):
     # its sign is decided in ints, and only positive scores become Fractions.
     a, b = fx.numerator, fx.denominator
-    out = []
+    out = {}
     for y, d in graph.ball(x, radius, budget=budget):
         if d == 0:
             continue
@@ -61,50 +59,36 @@ def scan_scored_neighbors(graph, lookup, r, x, *, radius=None, budget=DEFAULT_SC
         c, e = fy.numerator, fy.denominator
         num = abs(a * e - c * b) - d * b * e
         if num > 0:
-            out.append((y, Fraction(num, b * e)))
-    out.sort(key=lambda p: p[0])
+            out[y] = Fraction(num, b * e)
     return out
 
 
-def _violated_pairs(graph, lookup, r, *, radius=None, budget=DEFAULT_SCAN_BUDGET):
-    """Every pair with a positive score, once each, as (low, high, score)."""
+def _violated_pairs(graph, lookup, *, radius, budget=DEFAULT_SCAN_BUDGET):
+    """Every pair within ``radius`` with a positive score, once each, as
+    (low, high, score)."""
     for x in graph.vertices():
         for y, score in scan_scored_neighbors(
-            graph, lookup, r, x, radius=radius, budget=budget
-        ):
+            graph, lookup, x, radius=radius, budget=budget
+        ).items():
             if x < y:
                 yield x, y, score
 
 
-def viol_neighbors(graph, f, tau, x, *, budget=DEFAULT_SCAN_BUDGET):
-    """Neighbors of x in the tau-violation graph of f, in canonical order."""
-    tau = Fraction(tau)
-    scored = scan_scored_neighbors(
-        graph, f.lookup, f.r, x, radius=scan_radius(f.r, tau), budget=budget
-    )
-    return [y for y, s in scored if s > tau]
-
-
-def is_dangerous(graph, f, x, *, budget=DEFAULT_SCAN_BUDGET) -> bool:
-    """True iff x participates in at least one violated pair (tau = 0)."""
-    return bool(viol_neighbors(graph, f, 0, x, budget=budget))
+def _all_violated_pairs(graph, f, budget):
+    """_violated_pairs of f at tau = 0, reading f once per vertex."""
+    values = {x: f.lookup(x) for x in graph.vertices()}
+    return _violated_pairs(graph, values.get, radius=scan_radius(f.r, 0), budget=budget)
 
 
 def violation_edges(graph, f, *, budget=DEFAULT_SCAN_BUDGET):
     """Every 0-violated pair of f, each once as an ordered (low, high) edge."""
-    values = {x: f.lookup(x) for x in graph.vertices()}
-    return sorted(
-        (x, y) for x, y, _ in _violated_pairs(graph, values.get, f.r, budget=budget)
-    )
+    return sorted((x, y) for x, y, _ in _all_violated_pairs(graph, f, budget))
 
 
 def max_violation_score(graph, f, *, budget=DEFAULT_SCAN_BUDGET) -> Fraction:
     """Largest violation score over all pairs (0 when f is 1-Lipschitz)."""
-    values = {x: f.lookup(x) for x in graph.vertices()}
-    return max(
-        (s for _, _, s in _violated_pairs(graph, values.get, f.r, budget=budget)),
-        default=Fraction(0),
-    )
+    return max((s for _, _, s in _all_violated_pairs(graph, f, budget)),
+               default=Fraction(0))
 
 
 def is_c_lipschitz(graph, f, c) -> bool:

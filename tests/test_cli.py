@@ -342,3 +342,16 @@ class TestErrors:
         assert code == 2
         assert captured.err.startswith("error:") and "١" in captured.err
         assert captured.out == ""
+
+    def test_partial_function_l1_exits_2(self, capsys, tmp_path):
+        # the l1 LP needs every value; a ? is an input error, not a reject
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({
+            "domain": {"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2]]},
+            "r": "3", "values": {"0": "0", "1": "3", "2": "?"}}))
+        code = main(["oracle", "--function", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "f(2) = ?" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""

@@ -9,6 +9,7 @@ from lipfilter import (
     ExplicitGraph,
     Hypergrid,
     InvalidParam,
+    PartialFunction,
     SizeExceeded,
     TableFunction,
     exact_l0_distance,
@@ -110,6 +111,11 @@ class TestL1Distance:
         dist, witness = exact_l1_distance(g, f, with_witness=True)
         assert dist == Fraction(2, 3)
         assert witness == {0: 0, 1: 1, 2: 0}
+
+    def test_partial_names_vertex(self):
+        g, f = path3([0, 3, "?"])
+        with pytest.raises(PartialFunction, match=r"f\(2\) = \?"):
+            exact_l1_distance(g, f)
 
     def test_two_point(self):
         g = ExplicitGraph(2, [(0, 1)])

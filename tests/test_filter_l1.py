@@ -185,7 +185,7 @@ class TestScanCarry:
         scan = filter_l1.scan_scored_neighbors
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(args[2])
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(filter_l1, "scan_scored_neighbors", counting)
@@ -302,7 +302,7 @@ class TestGlobalRounds:
             expected += [
                 (key, g.canon(x), g.canon(y))
                 for x, y, score in _violated_pairs(
-                    g, trace[t - 2].get, r, radius=scan_radius(r, tau))
+                    g, trace[t - 2].get, radius=scan_radius(r, tau))
                 if score > tau
             ]
         ranked = []

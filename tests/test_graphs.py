@@ -216,6 +216,12 @@ class TestBall:
             g.ball((0,) * 4, 2, budget=5)
         assert len(g.ball((0,) * 4, 2, budget=11)) == 11
 
+    def test_budget_error_names_canon(self):
+        # the cube decides the budget before it builds the ball
+        x = (0, 1) + (0,) * 30
+        with pytest.raises(BudgetExceeded, match=r"^ball\(01" + "0" * 30 + r", 59\) "):
+            Hypercube(32).ball(x, 59, budget=10)
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hypercube_equals_bfs(self, d):
         g, ref = Hypercube(d), BfsHypercube(d)

@@ -133,3 +133,42 @@ class TestJson:
         xs = [(0,) * 10, (1,) * 10, inst.pairs[0][0]]
         for x in xs:
             assert back.value(x) == inst.value(x)
+
+    def anchors_doc(self, anchors, r=4, b=0):
+        return {"domain": {"kind": "hypercube", "d": 10}, "r": r, "b": b,
+                "anchors": anchors}
+
+    def test_rejects_non_integer_r_and_b(self):
+        doc = {"domain": {"kind": "hypercube", "d": 4}, "r": 2.9, "b": True,
+               "anchors": [["0000", "1100"]]}
+        with pytest.raises(InvalidParam, match="'r'"):
+            hard_instance_from_json(doc)
+        with pytest.raises(InvalidParam, match="'b'"):
+            hard_instance_from_json(doc | {"r": 2})
+
+    @pytest.mark.parametrize("r, b", [(3, 1), (0, 0), (4, 2), (4, -1)])
+    def test_rejects_bad_parameters(self, r, b):
+        with pytest.raises(InvalidParam):
+            hard_instance_from_json(self.anchors_doc([], r=r, b=b))
+
+    def test_rejects_explicit_domain(self):
+        doc = {"domain": {"kind": "explicit", "vertices": 3, "edges": [[0, 1]]},
+               "r": 2, "b": 0, "anchors": []}
+        with pytest.raises(InvalidParam, match="hypergrid"):
+            hard_instance_from_json(doc)
+
+    def test_rejects_pair_at_wrong_distance(self):
+        # distance 3, not r - b = 4
+        doc = self.anchors_doc([["0000000000", "1110000000"]])
+        with pytest.raises(InvalidParam, match="distance r - b = 4"):
+            hard_instance_from_json(doc)
+
+    def test_rejects_pairs_too_close(self):
+        # each pair sits at distance 4, but the two pairs' first anchors
+        # are 2 apart, within separation_threshold(10, 4) = 3
+        doc = self.anchors_doc([["0000000000", "1111000000"],
+                                ["0000000011", "0000111111"]])
+        assert separation_threshold(10, 4) == 3
+        with pytest.raises(InvalidParam, match="more than 3"):
+            hard_instance_from_json(doc)
+        hard_instance_from_json(self.anchors_doc(doc["anchors"][:1]))

@@ -129,6 +129,13 @@ class TestMatchingLCA:
         roomy = self.lca(g, seed_of(5), budget=10_000)
         assert any(roomy.match_of(x) is not None for x in g.vertices())
 
+    def test_budget_error_names_edge_canon(self):
+        g = Hypercube(4)
+        a, b = (0, 1, 1, 0), (0, 1, 1, 1)
+        lca = MatchingLCA({a: [b], b: [a]}.get, seed_of(5), encode=g.canon, budget=0)
+        with pytest.raises(BudgetExceeded, match=r"edges at \(0110, 0111\)$"):
+            lca.match_of(b)
+
     def test_memoized_answers_do_not_recharge_budget(self):
         rng = random.Random(5)
         g = random_connected_graph(rng, 8, extra=3)
