@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotACover, PartialFunction
+from .errors import NotACover
+from .functions import ValueMemo
 from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA
 from .seeds import Seed
 from .violation import DEFAULT_SCAN_BUDGET, scan_radius, scan_scored_neighbors
@@ -59,29 +60,23 @@ def global_filter_l0(graph, f, cover, *, lo=None):
     return g
 
 
-class _Memo(dict):
-    """f's values by vertex; a missing vertex is read from f once."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, x):
-        v = self[x] = self.f.lookup(x)
-        return v
-
-
 class LocalFilterL0:
     """Per-query access to the corrected function for one (f, seed) pair.
 
     Matched vertices (under the seeded greedy matching of the 0-violation
-    graph) are re-extended from the unmatched values within distance r;
-    everything else passes through.  Caches inside a session are logically
-    transparent: answers equal a fresh computation for every query order.
-    The session memo is a dict of f's values that reads f on a miss, so f
-    is read once per distinct vertex; scans read it through its
-    ``__getitem__``, which makes a hit one dict access.  The range
-    [lo, lo + r] is the oracle's; wrap it with ``clip`` for another one.
+    graph) are re-extended from the unmatched values nearer than r: g(x) =
+    max(lo, f(y) - d(x, y)) over the unmatched, defined y with d(x, y) < r;
+    everything else passes through.  The open ball loses nothing, since a
+    y at distance >= r scores at most hi - r = lo.  ``value`` walks it in
+    (distance, vertex) order with a running best, asks the matching only
+    about a y with f(y) - d > best, and stops at the first y with hi - d
+    <= best, which is exact because values stay in [lo, hi].  Caches
+    inside a session are logically transparent: answers equal a fresh
+    computation for every query order.  The session memo is a dict of f's
+    values that reads f on a miss, so f is read once per distinct vertex;
+    scans read it through its ``__getitem__``, which makes a hit one dict
+    access.  The range [lo, lo + r] is the oracle's; wrap it with ``clip``
+    for another one.
     """
 
     def __init__(self, graph, f, seed: Seed, *,
@@ -92,7 +87,7 @@ class LocalFilterL0:
         self.lo = f.lo
         self.scan_budget = scan_budget
         self._radius = scan_radius(f.r, 0)
-        self._values = _Memo(f)
+        self._values = ValueMemo(f)
         self._matcher = MatchingLCA(
             self._viol_adjacent, seed, encode=graph.canon, budget=match_budget
         )
@@ -113,14 +108,26 @@ class LocalFilterL0:
         fx = values[x]
         if self.match_of(x) is None:
             return fx
+        # The open ball is exact: a y at d >= r scores at most hi - r = lo.
+        # The stop is exact: the ball is sorted by d and f(y) <= hi, so once
+        # d >= hi - best no later y beats best.  With best = bn/bd and f(y)
+        # = c/e, f(y) - d > best is decided in ints, and only such a y is
+        # asked whether it is matched.
+        hi = self.lo + self.r
         best = self.lo
-        for y, d in self.graph.ball(x, self.r, budget=self.scan_budget):
+        bn, bd = best.numerator, best.denominator
+        stop = math.ceil(hi - best)
+        for y, d in self.graph.ball(x, self.r, open_=True, budget=self.scan_budget):
+            if d >= stop:
+                break
             fy = values[y]
-            if fy is None or self.match_of(y) is not None:
+            if fy is None:
                 continue
-            cand = fy - d
-            if cand > best:
-                best = cand
+            c, e = fy.numerator, fy.denominator
+            if (c - d * e) * bd > bn * e and self.match_of(y) is None:
+                best = fy - d
+                bn, bd = best.numerator, best.denominator
+                stop = math.ceil(hi - best)
         return best
 
     def matched_set(self):

@@ -134,6 +134,19 @@ class FunctionOracle:
         return RestrictedFunction(self, interval)
 
 
+class ValueMemo(dict):
+    """f's values by vertex; a missing vertex is read with ``f.lookup``
+    once."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, x):
+        v = self[x] = self.f.lookup(x)
+        return v
+
+
 class TableFunction(FunctionOracle):
     """Dense or defaulted table of values, validated at construction."""
 

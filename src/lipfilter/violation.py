@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import PartialFunction
+from .functions import ValueMemo
 
 DEFAULT_SCAN_BUDGET = 200_000
 
@@ -94,15 +95,17 @@ def max_violation_score(graph, f, *, budget=DEFAULT_SCAN_BUDGET) -> Fraction:
 def is_c_lipschitz(graph, f, c) -> bool:
     """Edge-scan Lipschitz check: |f(x) - f(y)| <= c for every edge.
 
-    Requires a total function; raises PartialFunction on any ? value.  For
-    connected graphs the edge condition is equivalent to the pairwise one;
+    Reads each vertex at most once and never reads an isolated one.
+    Raises PartialFunction when an edge has a ? endpoint.  For connected
+    graphs the edge condition is equivalent to the pairwise one;
     ``max_violation_score(graph, f) == 0`` is the pairwise check at c = 1,
     which also takes partial functions.
     """
     c = Fraction(c)
+    values = ValueMemo(f)
     for u, v in graph.edges():
-        fu = f.lookup(u)
-        fv = f.lookup(v)
+        fu = values[u]
+        fv = values[v]
         if fu is None or fv is None:
             raise PartialFunction(f"edge scan hit undefined value at {u!r} or {v!r}")
         if abs(fu - fv) > c:

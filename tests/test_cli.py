@@ -86,6 +86,20 @@ class TestOracle:
         assert code == 0
         assert out["lipschitz"] is True and out["l0"] == "0"
 
+    @pytest.mark.parametrize("middle, lipschitz", [("1", True), ("3", False)])
+    def test_partial_function_is_checked_pairwise(self, capsys, tmp_path,
+                                                   middle, lipschitz):
+        doc = {
+            "domain": {"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2]]},
+            "r": "3",
+            "values": {"0": "0", "1": middle, "2": "?"},
+        }
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["oracle", "--function", str(path), "--no-l1"])
+        assert out["lipschitz"] is lipschitz
+        assert code == (0 if lipschitz else 1)
+
 
 PATH3 = {"vertices": 3, "edges": [[0, 1], [1, 2]]}
 

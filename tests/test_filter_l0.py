@@ -7,13 +7,16 @@ from lipfilter import (
     ExplicitGraph,
     Hypercube,
     Hypergrid,
+    Interval,
     LocalFilterL0,
     NotACover,
     OutOfDomain,
+    Seed,
     TableFunction,
     global_filter_l0,
     is_c_lipschitz,
     min_violation_cover,
+    sample_hard_instance,
     violation_edges,
 )
 from helpers import (
@@ -156,3 +159,111 @@ class TestLocal:
         for x in [(0.0, 1, 1), (0, True, 1)]:
             with pytest.raises(OutOfDomain):
                 filt.value(x)
+
+
+def brute_force_value(filt, g, f, x):
+    """g(x) from the definition: a maximum over the closed radius-r ball,
+    with matched vertices read from the session's own matching."""
+    fx = f.lookup(x)
+    if filt.match_of(x) is None:
+        return fx
+    best = f.lo
+    for y in g.vertices():
+        d = g.dist(x, y)
+        fy = f.lookup(y)
+        if d <= f.r and fy is not None and filt.match_of(y) is None:
+            best = max(best, fy - d)
+    return best
+
+
+def rational_table(g, rng, r):
+    """Values in [0, r] with denominators 1 to 6, about one in eight ?."""
+    top = Fraction(r)
+    values = {}
+    for x in g.vertices():
+        den = rng.randint(1, 6)
+        values[x] = "?" if rng.random() < 0.125 else Fraction(
+            rng.randint(0, int(top * den)), den)
+    return TableFunction(g, values, top)
+
+
+class TestExtension:
+    """The matched branch of ``value``: its open ball, its stop at hi - d <=
+    best and its int comparisons against the definition."""
+
+    def instances(self):
+        rng = random.Random(10)
+        graphs = [Hypercube(d) for d in range(3, 7)]
+        graphs += [Hypergrid(3, 3), random_connected_graph(rng, 30, extra=12)]
+        for g in graphs:
+            base = rational_table(g, rng, Fraction(9, 2))
+            yield g, base
+            # lo != 0 and a non-integer r: clipping keeps ?, restricting
+            # makes more of them
+            yield g, base.clip(Fraction(1, 2), Fraction(10, 3))
+            yield g, base.restrict(Interval.of(Fraction(2, 3), Fraction(17, 4)))
+
+    def test_equals_brute_force(self):
+        matched_seen = 0
+        for i, (g, f) in enumerate(self.instances()):
+            filt = LocalFilterL0(g, f, seed_of(100 + i))
+            for x in g.vertices():
+                assert filt.value(x) == brute_force_value(filt, g, f, x)
+            matched_seen += len(filt.matched_set())
+        assert matched_seen > 100
+
+    def test_asks_the_matching_only_about_winners(self):
+        # one matched query on a cube: the candidates asked about are the
+        # ones that beat the running best in (distance, vertex) order
+        g = Hypercube(6)
+        f = rational_table(g, random.Random(11), 4)
+        filt = LocalFilterL0(g, f, seed_of(12))
+        for x in g.vertices():
+            if filt.match_of(x) is None:
+                continue
+            asked = []
+            session_match_of = filt.match_of
+            filt.match_of = lambda y: asked.append(y) or session_match_of(y)
+            got = filt.value(x)
+            del filt.match_of
+            # value() first asks about x itself, then about each winner
+            winners, best = [], f.lo
+            for y in sorted(g.vertices(), key=lambda y: (g.dist(x, y), y)):
+                fy, d = f.lookup(y), g.dist(x, y)
+                if fy is not None and fy - d > best:
+                    winners.append(y)
+                    if filt.match_of(y) is None:
+                        best = fy - d
+            if any(y != x and filt.match_of(y) is not None for y in winners):
+                break
+        else:
+            pytest.fail("no query met a matched candidate that beat its best")
+        assert asked == [x] + winners
+        assert got == best == brute_force_value(filt, g, f, x)
+        ball = [y for y in g.vertices() if g.dist(x, y) <= f.r]
+        assert len(asked) < len(ball) // 4
+
+
+class TestAnchorCost:
+    """Pinned cost of l0 queries where the filter has to work: the 16
+    planted anchors of a b = 1 instance at r = 4, each matched and
+    re-extended in a fresh session.  The lookups are exact for the seed.
+    They averaged 10,034.5 a query before the extension skipped the
+    candidates that cannot win, and 1,528.8 after."""
+
+    LOOKUPS = [1976, 1856, 1406, 1856, 1031, 1691, 1031, 1856,
+               1031, 1856, 1031, 1856, 1031, 1856, 1406, 1691]
+    VALUES = [2, 0, 2, 0, 2, 1, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1]
+
+    def test_d14_anchor_lookups(self):
+        g = Hypercube(14)
+        seed = Seed(b"\x01" * 32)
+        inst = sample_hard_instance(g, 4, 1, seed, m=8)
+        f = inst.to_oracle()
+        counts, values = [], []
+        for k, x in enumerate(v for pair in inst.pairs for v in pair):
+            f.reset_lookups()
+            values.append(LocalFilterL0(g, f, seed.derive("session", k)).value(x))
+            counts.append(f.lookups)
+        assert counts == self.LOOKUPS
+        assert values == self.VALUES

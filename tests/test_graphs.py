@@ -333,6 +333,19 @@ class TestLipschitzChecks:
         with pytest.raises(PartialFunction):
             is_c_lipschitz(g, partial, 1)
 
+    def test_edge_scan_reads_each_vertex_once(self):
+        g = Hypercube(4)
+        f = TableFunction(g, {x: sum(x) for x in g.vertices()}, 4)
+        assert is_c_lipschitz(g, f, 1)
+        assert f.lookups == g.n_vertices
+
+    def test_edge_scan_never_reads_an_isolated_vertex(self):
+        # vertex 2 has no edge, so its ? is never read and does not raise
+        g = ExplicitGraph(3, [(0, 1)])
+        f = TableFunction(g, {0: 0, 1: 1, 2: "?"}, 1)
+        assert is_c_lipschitz(g, f, 1)
+        assert f.lookups == 2
+
 
 def test_random_vertex_stays_in_domain():
     rng = random.Random(0)

@@ -10,6 +10,9 @@ Pinned values and their history:
   to 6,320 and 2,746 when ``from_canon`` started checking that ``canon``
   gives the decoded text back: ``filter --all`` decodes the 1,024 keys of
   its function document.
+- ``matching.match_of`` on ``tester`` went from 34,860 to 2,167 when the
+  l0 extension started asking the matching only about candidates that
+  beat its running best, and stopping once none further out can.
 """
 import importlib.util
 from pathlib import Path
@@ -41,7 +44,7 @@ PINNED = {
     "tester": {
         "exprs.eval": 814, "filter_l0.callback": 364, "filter_l0.value": 300,
         "functions.lookup": 814, "graphs.ball": 499, "graphs.ball_vertices": 127744,
-        "graphs.canon": 2048, "matching.match_of": 34860, "seeds.rank": 1024,
+        "graphs.canon": 2048, "matching.match_of": 2167, "seeds.rank": 1024,
         "tester.tolerant_test": 2, "violation.scan": 364, "violation.scan_pairs": 92820,
     },
     "private_release": {
