@@ -24,7 +24,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import Error, InvalidParam, PartialFunction
+from .errors import Error, InvalidParam
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import DEFAULT_SLACK, LocalFilterL1
 from .functions import (
@@ -36,7 +36,7 @@ from .matching import DEFAULT_EDGE_BUDGET
 from .privacy import BinarySearchMechanism, FilterMechanism, NoiseSource
 from .seeds import Seed
 from .tester import tolerant_test
-from .violation import DEFAULT_SCAN_BUDGET, is_c_lipschitz, max_violation_score
+from .violation import DEFAULT_SCAN_BUDGET
 from . import exact
 
 
@@ -134,13 +134,11 @@ def _cmd_filter(args, parser):
 
 def _cmd_oracle(args, parser):
     graph, f = _load_fn(args, parser)
-    try:
-        lipschitz = is_c_lipschitz(graph, f, 1)
-    except PartialFunction:
-        # the edge scan needs both values; a pair with a ? is never violated
-        lipschitz = max_violation_score(graph, f) == 0
-    out = {"lipschitz": lipschitz}
+    # f is Lipschitz exactly when no pair is violated, i.e. the cover is
+    # empty; a pair with a ? is never violated
     cover = exact.min_violation_cover(graph, f, cap=args.l0_cap)
+    lipschitz = not cover
+    out = {"lipschitz": lipschitz}
     out["l0"] = _fmt(Fraction(len(cover), graph.n_vertices))
     out["cover"] = sorted(graph.canon(x) for x in cover)
     if not args.no_l1:
