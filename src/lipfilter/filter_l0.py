@@ -85,6 +85,7 @@ class LocalFilterL0:
         self.f = f
         self.r = f.r
         self.lo = f.lo
+        self.hi = f.hi
         self.scan_budget = scan_budget
         self._radius = scan_radius(f.r, 0)
         self._values = ValueMemo(f)
@@ -94,8 +95,9 @@ class LocalFilterL0:
 
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
-        return list(scan_scored_neighbors(self.graph, self._values.__getitem__, v,
-                                          radius=self._radius, budget=self.scan_budget))
+        return list(scan_scored_neighbors(
+            self.graph, self._values.__getitem__, v, radius=self._radius,
+            lo=self.lo, hi=self.hi, budget=self.scan_budget))
 
     def match_of(self, x):
         return self._matcher.match_of(x)
@@ -113,7 +115,7 @@ class LocalFilterL0:
         # d >= hi - best no later y beats best.  With best = bn/bd and f(y)
         # = c/e, f(y) - d > best is decided in ints, and only such a y is
         # asked whether it is matched.
-        hi = self.lo + self.r
+        hi = self.hi
         best = self.lo
         bn, bd = best.numerator, best.denominator
         stop = math.ceil(hi - best)

@@ -95,6 +95,7 @@ class LocalFilterL1:
         self.f = f
         self.seed = seed
         self.schedule = make_schedule(f.r, slack)
+        self.lo, self.hi = f.lo, f.hi
         self.scan_budget = scan_budget
         self.match_budget = match_budget
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
@@ -136,8 +137,8 @@ class LocalFilterL1:
                 if radius == 0:
                     return []
                 scan = scan_scored_neighbors(
-                    self.graph, lambda y: self._value(y, t - 1), v,
-                    radius=radius, budget=self.scan_budget,
+                    self.graph, lambda y: self._value(y, t - 1), v, radius=radius,
+                    lo=self.lo, hi=self.hi, budget=self.scan_budget,
                 )
                 return [y for y, s in scan.items() if s > tau]
 
@@ -191,7 +192,8 @@ class LocalFilterL1:
 
         def scan(v, table):
             return scan_scored_neighbors(
-                self.graph, table.get, v, radius=radius, budget=self.scan_budget)
+                self.graph, table.get, v, radius=radius, lo=self.lo, hi=self.hi,
+                budget=self.scan_budget)
 
         for s in range(self._done + 1, t + 1):
             if s == 1:
@@ -240,6 +242,7 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
     the list [g_1, ..., g_T].
     """
     schedule = make_schedule(f.r, slack)
+    lo, hi = f.lo, f.hi
     current = {}
     for x in graph.vertices():
         v = f.lookup(x)
@@ -253,7 +256,8 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
         edges = [
             (x, y)
             for x, y, s in _violated_pairs(
-                graph, current.get, radius=scan_radius(schedule.r, tau), budget=scan_budget
+                graph, current.get, radius=scan_radius(schedule.r, tau),
+                lo=lo, hi=hi, budget=scan_budget,
             )
             if s > tau
         ]

@@ -79,7 +79,9 @@ class FunctionOracle:
     interval-restricted views.  ``lookup`` checks the vertex, reads the
     value with ``_read``, and raises RangeViolation for a value outside
     [lo, hi] if the class sets ``checks_range``; classes whose values are
-    in range by construction clear it.
+    in range by construction clear it.  Violation scans trust that every
+    defined value ``lookup`` returns lies in [lo, hi]: each scan walks only
+    as far as a partner of its centre can sit, which that interval bounds.
     """
 
     checks_range = True
@@ -192,14 +194,24 @@ class ExprFunction(FunctionOracle):
 
 
 class CallableFunction(FunctionOracle):
-    """Oracle over a plain callable returning Fraction | None."""
+    """Oracle over a plain callable returning Fraction | int | None.
+
+    Ints become Fractions; any other result (a float, a bool, a string)
+    raises RangeViolation naming the vertex.
+    """
 
     def __init__(self, graph, fn, r, *, lo=0):
         super().__init__(r, lo=lo, graph=graph)
         self._fn = fn
 
     def _value(self, x):
-        return self._fn(x)
+        v = self._fn(x)
+        if v is None or isinstance(v, Fraction):
+            return v
+        if type(v) is int:
+            return Fraction(v)
+        raise RangeViolation(
+            f"f({self.graph.canon(x)}) = {v!r} is not a Fraction, an int or ?")
 
 
 class ClippedFunction(FunctionOracle):

@@ -5,7 +5,10 @@ A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
 Because defined values span at most the range diameter r, every
 tau-violated partner of x sits within ``scan_radius(r, tau)``, which is
-the radius every caller hands ``scan_scored_neighbors``.
+the radius every caller hands ``scan_scored_neighbors``.  The scan also
+takes the interval [lo, hi] that every defined value lies in: a partner
+of x needs dist(x, y) < |f(x) - f(y)| <= max(hi - f(x), f(x) - lo), so a
+centre whose value sits mid-range walks a ball of about half the radius.
 """
 from __future__ import annotations
 
@@ -36,20 +39,35 @@ def violation_score(graph, f, x, y) -> Fraction:
     return max(Fraction(0), abs(fx - fy) - d)
 
 
-def scan_scored_neighbors(graph, lookup, x, *, radius, budget=DEFAULT_SCAN_BUDGET):
+def scan_scored_neighbors(graph, lookup, x, *, radius, lo, hi,
+                          budget=DEFAULT_SCAN_BUDGET):
     """{y: score} for every y within ``radius`` of x whose violation score
     against x is positive, in ball order, with every score a Fraction.
 
-    ``lookup`` is any callable vertex -> Fraction | None.  The tau-violated
-    partners of x are the entries scoring above tau at radius
-    ``scan_radius(r, tau)``.
+    ``lookup`` is any callable vertex -> Fraction | None whose defined
+    values all lie in [lo, hi]; the scan trusts that and does not check
+    it.  The tau-violated partners of x are the entries scoring above tau
+    at radius ``scan_radius(r, tau)``.  The ball walked is the smaller of
+    ``radius`` and ceil(max(hi - f(x), f(x) - lo)) - 1, since no partner
+    sits farther, so ``budget`` applies to that ball.
     """
     fx = lookup(x)
     if fx is None:
         return {}
-    # With fx = a/b and fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e):
-    # its sign is decided in ints, and only positive scores become Fractions.
+    # With fx = a/b, hi = p/q and lo = s/t, ceil(hi - fx) is
+    # -((a*q - p*b) // (b*q)) and ceil(fx - lo) is -((s*b - a*t) // (b*t)):
+    # the cap is decided in ints, and without min() and max(), which here
+    # cost more than the arithmetic.
     a, b = fx.numerator, fx.denominator
+    p, q = hi.numerator, hi.denominator
+    s, t = lo.numerator, lo.denominator
+    up = (a * q - p * b) // (b * q)      # -ceil(hi - fx)
+    down = (s * b - a * t) // (b * t)    # -ceil(fx - lo)
+    reach = -(up if up < down else down)  # ceil(max(hi - fx, fx - lo))
+    if reach <= radius:
+        radius = reach - 1
+    # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): its sign is
+    # decided in ints, and only positive scores become Fractions.
     out = {}
     for y, d in graph.ball(x, radius, budget=budget):
         if d == 0:
@@ -64,12 +82,12 @@ def scan_scored_neighbors(graph, lookup, x, *, radius, budget=DEFAULT_SCAN_BUDGE
     return out
 
 
-def _violated_pairs(graph, lookup, *, radius, budget=DEFAULT_SCAN_BUDGET):
+def _violated_pairs(graph, lookup, *, radius, lo, hi, budget=DEFAULT_SCAN_BUDGET):
     """Every pair within ``radius`` with a positive score, once each, as
-    (low, high, score)."""
+    (low, high, score).  ``lookup``'s defined values lie in [lo, hi]."""
     for x in graph.vertices():
         for y, score in scan_scored_neighbors(
-            graph, lookup, x, radius=radius, budget=budget
+            graph, lookup, x, radius=radius, lo=lo, hi=hi, budget=budget
         ).items():
             if x < y:
                 yield x, y, score
@@ -78,7 +96,8 @@ def _violated_pairs(graph, lookup, *, radius, budget=DEFAULT_SCAN_BUDGET):
 def _all_violated_pairs(graph, f, budget):
     """_violated_pairs of f at tau = 0, reading f once per vertex."""
     values = {x: f.lookup(x) for x in graph.vertices()}
-    return _violated_pairs(graph, values.get, radius=scan_radius(f.r, 0), budget=budget)
+    return _violated_pairs(graph, values.get, radius=scan_radius(f.r, 0),
+                           lo=f.lo, hi=f.hi, budget=budget)
 
 
 def violation_edges(graph, f, *, budget=DEFAULT_SCAN_BUDGET):

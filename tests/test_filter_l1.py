@@ -302,7 +302,8 @@ class TestGlobalRounds:
             expected += [
                 (key, g.canon(x), g.canon(y))
                 for x, y, score in _violated_pairs(
-                    g, trace[t - 2].get, radius=scan_radius(r, tau))
+                    g, trace[t - 2].get, radius=scan_radius(r, tau),
+                    lo=f.lo, hi=f.hi)
                 if score > tau
             ]
         ranked = []

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,17 @@ from lipfilter import (
     Hypergrid,
     Interval,
     InvalidInterval,
+    LocalFilterL0,
     OutOfDomain,
     RangeViolation,
+    Seed,
     TableFunction,
     format_value,
     function_to_json,
     load_function,
     parse_rational,
     parse_value,
+    sample_hard_instance,
 )
 
 
@@ -170,6 +174,67 @@ def test_callable_function():
     f = CallableFunction(g, lambda x: sum(x), 3)
     assert f.lookup((1, 1, 0)) == 2
     assert f.lookups == 1
+
+
+class TestCallableResults:
+    G = Hypercube(3)
+
+    def test_ints_become_fractions(self):
+        f = CallableFunction(self.G, lambda x: sum(x), 3)
+        assert [type(f.lookup(x)) for x in self.G.vertices()] == [Fraction] * 8
+        assert CallableFunction(self.G, lambda x: None, 3).lookup((0, 0, 0)) is None
+
+    @pytest.mark.parametrize("result", [0.5, 1.0, True, "1", Decimal(1)],
+                             ids=["float", "whole float", "bool", "str", "Decimal"])
+    def test_other_results_rejected(self, result):
+        f = CallableFunction(self.G, lambda x: result, 3)
+        with pytest.raises(RangeViolation, match=r"^f\(110\) = "):
+            f.lookup((1, 1, 0))
+        with pytest.raises(RangeViolation, match=r"^f\(110\) = "):
+            f.clip(0, 3).lookup((1, 1, 0))
+
+    def test_float_fails_the_filter_with_range_violation(self):
+        f = CallableFunction(self.G, lambda x: 0.5 * sum(x), 3)
+        with pytest.raises(RangeViolation, match=r"^f\(000\) = 0\.0 "):
+            LocalFilterL0(self.G, f, Seed(b"\x00" * 32)).value((0, 0, 0))
+
+
+def _oracles():
+    """Every oracle kind, with clip and restrict over an expression whose
+    values (-2 to 13) leave its claimed range [0, 3]."""
+    g = Hypergrid(4, 2)
+    wild = ExprFunction(g, "x1 * x2 - 3", 3)
+    inst = sample_hard_instance(Hypercube(8), 4, 1, Seed(b"\x02" * 32), m=2)
+    cases = {
+        "table": TableFunction(g, {(1, 1): 0, (2, 3): "5/2"}, 3, default=1),
+        "expr": ExprFunction(g, "min(x1 + x2, 5) - 2", 3),
+        "expr out of range": wild,
+        "callable": CallableFunction(g, lambda x: x[0] - 1, 3),
+        "hard instance": inst.to_oracle(),
+        "clip": wild.clip(0, 3),
+        "clip shifted": wild.clip(2, "9/2"),
+        "restrict": wild.restrict(Interval.of(1, 6)),
+        "restrict of clip": wild.clip(0, 8).restrict(Interval.of(-1, 2)),
+        "clip of restrict": wild.restrict(Interval.of(-2, 5)).clip(1, 4),
+    }
+    return [pytest.param(f, id=name) for name, f in cases.items()]
+
+
+@pytest.mark.parametrize("f", _oracles())
+def test_lookup_values_lie_in_lo_hi(f):
+    """Violation scans trust that every defined value lies in [lo, hi]:
+    ``lookup`` returns such a value, None, or raises RangeViolation."""
+    defined = 0
+    for x in f.graph.vertices():
+        try:
+            v = f.lookup(x)
+        except RangeViolation:
+            assert f.checks_range, x
+            continue
+        if v is not None:
+            assert type(v) is Fraction and f.lo <= v <= f.hi, (x, v)
+            defined += 1
+    assert defined
 
 
 class TestJson:

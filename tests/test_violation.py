@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lipfilter import (
     BudgetExceeded,
     ExplicitGraph,
+    ExprFunction,
     Hypercube,
     Hypergrid,
     TableFunction,
@@ -55,7 +56,8 @@ class TestScan:
     def test_positive_only(self):
         g = Hypergrid(5, 1)
         f = TableFunction(g, {(i,): 0 for i in range(1, 6)} | {(3,): 4}, 4)
-        got = scan_scored_neighbors(g, f.lookup, (3,), radius=scan_radius(f.r, 0))
+        got = scan_scored_neighbors(g, f.lookup, (3,), radius=scan_radius(f.r, 0),
+                                    lo=f.lo, hi=f.hi)
         assert got == {(1,): 2, (2,): 3, (4,): 3, (5,): 2}
 
     def test_radius_truncation(self):
@@ -64,20 +66,22 @@ class TestScan:
         values[(1,)] = 4
         f = TableFunction(g, values, 4)
         # radius ceil(r) - 1 = 3 reaches only up to (4,)
-        got = scan_scored_neighbors(g, f.lookup, (1,), radius=scan_radius(f.r, 0))
+        got = scan_scored_neighbors(g, f.lookup, (1,), radius=scan_radius(f.r, 0),
+                                    lo=f.lo, hi=f.hi)
         assert got == {(2,): 3, (3,): 2, (4,): 1}
-        wider = scan_scored_neighbors(g, f.lookup, (1,), radius=8)
+        wider = scan_scored_neighbors(g, f.lookup, (1,), radius=8, lo=f.lo, hi=f.hi)
         assert wider == got
 
     def test_undefined_center(self):
         g, f = path3(["?", 3, 0])
-        assert scan_scored_neighbors(g, f.lookup, 0, radius=2) == {}
+        assert scan_scored_neighbors(g, f.lookup, 0, radius=2, lo=f.lo, hi=f.hi) == {}
 
     def test_budget(self):
         g = Hypergrid(4, 4)
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 4)
         with pytest.raises(BudgetExceeded, match=r"ball\(1111, 3\)"):
-            scan_scored_neighbors(g, f.lookup, (1, 1, 1, 1), radius=3, budget=3)
+            scan_scored_neighbors(g, f.lookup, (1, 1, 1, 1), radius=3,
+                                  lo=f.lo, hi=f.hi, budget=3)
 
 
 CUBE4 = Hypercube(4)
@@ -106,7 +110,8 @@ class TestScanProperty:
     def test_equals_brute_force(self, table, radius):
         values = dict(zip(CUBE4.vertices(), table))
         for x in CUBE4.vertices():
-            got = scan_scored_neighbors(CUBE4, values.get, x, radius=radius)
+            got = scan_scored_neighbors(CUBE4, values.get, x, radius=radius,
+                                        lo=0, hi=48)
             assert got == brute_force_scores(values, x, radius)
             assert all(type(s) is Fraction for s in got.values())
 
@@ -114,7 +119,7 @@ class TestScanProperty:
     @given(st.lists(_value, min_size=16, max_size=16), st.integers(0, 5))
     def test_pairs_equal_brute_force(self, table, radius):
         values = dict(zip(CUBE4.vertices(), table))
-        got = list(_violated_pairs(CUBE4, values.get, radius=radius))
+        got = list(_violated_pairs(CUBE4, values.get, radius=radius, lo=0, hi=48))
         want = {
             (x, y, score)
             for x in CUBE4.vertices()
@@ -128,7 +133,8 @@ class TestScanProperty:
 def tau_violated(g, f, tau, x):
     """The l1 matcher's rule: partners scoring above tau within
     scan_radius(r, tau)."""
-    scan = scan_scored_neighbors(g, f.lookup, x, radius=scan_radius(f.r, tau))
+    scan = scan_scored_neighbors(g, f.lookup, x, radius=scan_radius(f.r, tau),
+                                 lo=f.lo, hi=f.hi)
     return [y for y, s in scan.items() if s > tau]
 
 
@@ -197,3 +203,63 @@ class TestWholeGraph:
             f.reset_lookups()
             whole_graph(g, f)
             assert f.lookups == g.n_vertices
+
+
+_in_range = st.one_of(
+    st.none(),
+    st.integers(0, 4),
+    st.fractions(min_value=0, max_value=4, max_denominator=12),
+)
+_widen = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+class TestScanCap:
+    """The scan walks min(radius, ceil(max(hi - f(x), f(x) - lo)) - 1)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_in_range, min_size=16, max_size=16), st.integers(0, 5),
+           _widen, _widen)
+    def test_any_enclosing_interval_equals_brute_force(self, table, radius, below, above):
+        values = dict(zip(CUBE4.vertices(), table))
+        defined = [v for v in table if v is not None] or [Fraction(0)]
+        lo, hi = min(defined) - below, max(defined) + above
+        for x in CUBE4.vertices():
+            got = scan_scored_neighbors(CUBE4, values.get, x, radius=radius,
+                                        lo=lo, hi=hi)
+            assert got == brute_force_scores(values, x, radius)
+        pairs = list(_violated_pairs(CUBE4, values.get, radius=radius, lo=lo, hi=hi))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (x, y, score)
+            for x in CUBE4.vertices()
+            for y, score in brute_force_scores(values, x, radius).items()
+            if x < y
+        }
+
+    CUBE8 = Hypercube(8)
+    MID = (1, 1, 1, 1, 0, 0, 0, 0)  # sum 4: both ends of [0, 8] are 4 away
+
+    def test_mid_range_centre_walks_radius_3(self, monkeypatch):
+        g = self.CUBE8
+        f = ExprFunction(g, "sum()", 8)
+        sizes = []
+
+        def ball(x, radius, **kw):
+            out = Hypercube.ball(g, x, radius, **kw)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(g, "ball", ball)
+        scan_scored_neighbors(g, f.lookup, self.MID, radius=scan_radius(f.r, 0),
+                              lo=f.lo, hi=f.hi)
+        assert sizes == [1 + 8 + 28 + 56]  # Hamming ball of radius 3: 93
+
+    def test_budget_applies_to_the_capped_ball(self):
+        g = self.CUBE8
+        f = ExprFunction(g, "sum()", 8)
+        radius = scan_radius(f.r, 0)
+        assert scan_scored_neighbors(g, f.lookup, self.MID, radius=radius,
+                                     lo=f.lo, hi=f.hi, budget=93) == {}
+        with pytest.raises(BudgetExceeded, match=r"ball\(11110000, 3\)"):
+            scan_scored_neighbors(g, f.lookup, self.MID, radius=radius,
+                                  lo=f.lo, hi=f.hi, budget=92)
