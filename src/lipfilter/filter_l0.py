@@ -99,6 +99,11 @@ class LocalFilterL0:
             self.graph, self._values.__getitem__, v, radius=self._radius,
             lo=self.lo, hi=self.hi, budget=self.scan_budget))
 
+    def read_table(self):
+        """Read f at every vertex into the session memo, so that no query
+        reads f again.  Call it before the first query."""
+        self._values.update((x, self.f.lookup(x)) for x in self.graph.vertices())
+
     def match_of(self, x):
         return self._matcher.match_of(x)
 

@@ -97,7 +97,9 @@ class BinarySearchMechanism:
     [t - a, t + a] is released immediately; otherwise the center t moves
     by ceil(r / 2^i) toward the reading and the search continues.  Filter
     sessions are cached per (probe, center) so repeated trials share
-    their scans.
+    their scans.  On a grid no wider than the window, a session reads
+    the whole table when it opens, so the ``lookups`` of an answer do not
+    depend on f(x).
     """
 
     def __init__(self, graph, f, eps, seed: Seed, *, r_opt=None,
@@ -146,6 +148,18 @@ class BinarySearchMechanism:
                 self.graph, f_i, self.seed.derive("search", i),
                 scan_budget=self._scan_budget,
                 match_budget=self._match_budget)
+            # A scan walks only as far as f(x)'s distance to the window's
+            # ends allows, so the values a first answer reads would tell
+            # where f(x) sits, and ``lookups`` is released with the answer.
+            # When the window is as wide as the grid's diameter, the table
+            # costs at most a few reads more than one full-radius scan; if
+            # it also fits the scan budget, the session reads it when it
+            # opens, and an answer then reads n^d values for each session
+            # it opens and nothing else.
+            graph = self.graph
+            if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
+                    and graph.n_vertices <= self._scan_budget):
+                sess.read_table()
             self._sessions[key] = sess
         return sess
 

@@ -7,6 +7,7 @@ import pytest
 from lipfilter import (
     BinarySearchMechanism,
     CallableFunction,
+    ExprFunction,
     FilterMechanism,
     Hypercube,
     Hypergrid,
@@ -160,6 +161,21 @@ class TestBinarySearchMechanism:
         mech = BinarySearchMechanism(g, f, 1, seed_of(2))
         res = mech.answer((0,) * 6)
         assert res.lookups > 0
+
+    def test_lookups_do_not_reveal_the_value(self):
+        # Scans stop where f(x) can no longer be violated: without the
+        # table read, the first answer read 93 values at f(x) = 4 and 255
+        # at f(x) = 0 or 8.
+        g = Hypercube(8)
+        lookups = set()
+        for k in range(9):
+            f = ExprFunction(g, "sum()", 8)
+            mech = BinarySearchMechanism(g, f, 1, seed_of(2))
+            x = (1,) * k + (0,) * (8 - k)
+            first, again = mech.answer(x), mech.answer(x)
+            assert first.value == again.value == k
+            lookups.add((first.lookups, again.lookups))
+        assert lookups == {(256, 0)}
 
     def test_noisy_answers_near_truth(self):
         rng = random.Random(2)
