@@ -65,8 +65,6 @@ def _parse_seed(text: str | None) -> Seed:
 def _fmt(v):
     if v is None or isinstance(v, Fraction):
         return format_value(v)
-    if isinstance(v, int):
-        return format_value(Fraction(v))
     return v
 
 

@@ -10,26 +10,24 @@ matched set as the cover.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import NotACover
 from .functions import ValueMemo
 from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET, scan_radius, scan_scored_neighbors
+from .violation import DEFAULT_SCAN_BUDGET, scan_scored_neighbors
 
 
-def global_filter_l0(graph, f, cover, *, lo=None):
+def global_filter_l0(graph, f, cover):
     """Lipschitz extension from the complement of ``cover``.
 
     Every cover vertex u gets max(lo, max_{v not in cover} f(v) - dist(u, v))
-    with the empty maximum reading as lo (0 for plain oracles); all other
+    with lo = f.lo, so the empty maximum reads as lo; all other
     vertices keep their f value.  Raises NotACover if some violated pair
     avoids the cover.  Undefined cover members stay undefined so that
     g(x) = ? exactly where f(x) = ?.
     """
     values = {x: f.lookup(x) for x in graph.vertices()}
-    floor = Fraction(f.lo if lo is None else lo)
     cover = set(cover)
     for u in cover:
         graph.check_vertex(u)
@@ -48,7 +46,7 @@ def global_filter_l0(graph, f, cover, *, lo=None):
     for u in cover:
         if values[u] is None:
             continue
-        best = floor
+        best = f.lo
         for v, fv in outside:
             d = graph.dist(u, v)
             if d is math.inf:
@@ -87,7 +85,6 @@ class LocalFilterL0:
         self.lo = f.lo
         self.hi = f.hi
         self.scan_budget = scan_budget
-        self._radius = scan_radius(f.r, 0)
         self._values = ValueMemo(f)
         self._matcher = MatchingLCA(
             self._viol_adjacent, seed, encode=graph.canon, budget=match_budget
@@ -96,8 +93,8 @@ class LocalFilterL0:
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
         return list(scan_scored_neighbors(
-            self.graph, self._values.__getitem__, v, radius=self._radius,
-            lo=self.lo, hi=self.hi, budget=self.scan_budget))
+            self.graph, self._values.__getitem__, v, tau=0, lo=self.lo,
+            hi=self.hi, budget=self.scan_budget))
 
     def read_table(self):
         """Read f at every vertex into the session memo, so that no query

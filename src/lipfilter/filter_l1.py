@@ -8,10 +8,12 @@ is (1 + slack)-Lipschitz; values never leave [lo, lo + r] and the l1
 distance to any fixed Lipschitz function never grows from round to round.
 
 The matching of round t is the random-order greedy maximal matching on
-ranks seeded by ``seed.derive("iter", t)``.  ``LocalFilterL1.table``
-computes each round globally from one store of scans at the final round's
-radius, which holds every round's violated pairs; ``value`` simulates the
-same computation per query through the seeded matching LCA, which answers
+ranks seeded by ``seed.derive("iter", t)``.  Every round asks the one
+violation scan for the pairs scoring above its tau_t and leaves the scan
+to decide how far to look.  ``LocalFilterL1.table`` computes each round
+globally from one store of scans at the final round's threshold, which
+holds every round's violated pairs; ``value`` simulates the same
+computation per query through the seeded matching LCA, which answers
 exactly the global greedy matching, so both give the same values.
 """
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import InvalidParam, PartialFunction
 from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA, greedy_maximal_matching
 from .seeds import Seed
 from .violation import (
-    DEFAULT_SCAN_BUDGET, _violated_pairs, scan_radius, scan_scored_neighbors,
+    DEFAULT_SCAN_BUDGET, _pairs_above, _violated_pairs, scan_scored_neighbors,
 )
 
 DEFAULT_SLACK = Fraction(1, 100)
@@ -79,12 +81,13 @@ class LocalFilterL1:
     ``value(x)`` recurses through rounds, resolving each round's matching
     locally through the matching LCA; all verdicts and values are memoized
     so repeated queries share work.  Round t's neighbour oracle scans the
-    round t - 1 values at round t's own radius ``scan_radius(r, tau_t)``;
+    round t - 1 values for the partners scoring above round t's own tau_t;
     the LCA reads each vertex's neighbours once, so the scans need no
-    cache of their own.
+    cache of their own.  A round with r - tau_t <= 1 has no violated pair,
+    since distinct vertices sit at least 1 apart, and makes no scan.
 
     ``table(t)`` computes each round globally instead, from one store of
-    scans at the final round's radius (see ``table``).  It shares the
+    scans at the final round's threshold (see ``table``).  It shares the
     round memos with ``value`` but not the scans, so the two can be mixed
     in one session without changing any value.
     """
@@ -99,11 +102,9 @@ class LocalFilterL1:
         self.scan_budget = scan_budget
         self.match_budget = match_budget
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
-        self._radii = {t: scan_radius(self.schedule.r, self.schedule.tau(t))
-                       for t in range(2, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
         self._done = 0  # last round table() has completed
-        self._scans: dict = {}  # table()'s {vertex: {y: score}} at the final radius
+        self._scans: dict = {}  # table()'s {vertex: {y: score}} at the final tau
 
     # -- round values ---------------------------------------------------
 
@@ -130,17 +131,14 @@ class LocalFilterL1:
         m = self._matchers.get(t)
         if m is None:
             tau = self.schedule.tau(t)
-            radius = self._radii[t]
+            edgeless = self.schedule.r - tau <= 1
 
             def adjacent(v):
-                # at radius 0 no pair can be tau-violated (r - tau <= 1)
-                if radius == 0:
+                if edgeless:
                     return []
-                scan = scan_scored_neighbors(
-                    self.graph, lambda y: self._value(y, t - 1), v, radius=radius,
-                    lo=self.lo, hi=self.hi, budget=self.scan_budget,
-                )
-                return [y for y, s in scan.items() if s > tau]
+                return list(scan_scored_neighbors(
+                    self.graph, lambda y: self._value(y, t - 1), v, tau=tau,
+                    lo=self.lo, hi=self.hi, budget=self.scan_budget))
 
             m = MatchingLCA(
                 adjacent,
@@ -168,31 +166,31 @@ class LocalFilterL1:
     def table(self, t: int | None = None) -> dict:
         """Full table at round t, computing rounds in order.
 
-        A pair tau_s-violated in round s sits within ``scan_radius(r,
-        tau_s)``, which grows with s, so one scan per vertex at the final
-        round's radius holds every round's edges.  Round 2 makes those
+        tau_s shrinks as s grows, so one scan per vertex at the final
+        round's threshold holds every round's edges.  Round 2 makes those
         scans against round 1.  Each round s matches the pairs scoring
         above tau_s with the global greedy matching on the LCA's ranks,
         moves each matched value by delta_s, and replaces the values
         ``value`` memoized for round s, which equal the new table by
         construction.  Before the next round it updates the scans in
         place: each moved value c leaves the scans of its old partners,
-        and one rescan of c against the new table writes every positive
-        score into both scans[c] and scans[y].  Scores and ball membership
-        are symmetric, so this gives the scans a fresh session would
-        make.  The final round drops the scans.  A final radius of 0
-        leaves every round without an edge and makes no scan.  A later
-        call resumes after the last round done.
+        and one rescan of c against the new table writes every score
+        above the final threshold into both scans[c] and scans[y].  Scores
+        are symmetric and a scan holds every partner above its threshold,
+        so this gives the scans a fresh session would make.  The final
+        round drops the scans.  A final threshold with r - tau <= 1 leaves
+        every round without an edge and makes no scan.  A later call
+        resumes after the last round done.
         """
         t = self._round_arg(t)
         rounds = self.schedule.rounds
         vertices = list(self.graph.vertices())
-        radius = self._radii.get(rounds, 0)
+        final = self.schedule.final_threshold
         scans = self._scans
 
         def scan(v, table):
             return scan_scored_neighbors(
-                self.graph, table.get, v, radius=radius, lo=self.lo, hi=self.hi,
+                self.graph, table.get, v, tau=final, lo=self.lo, hi=self.hi,
                 budget=self.scan_budget)
 
         for s in range(self._done + 1, t + 1):
@@ -202,14 +200,12 @@ class LocalFilterL1:
                 self._done = 1
                 continue
             old = self._tables[s - 1]
-            if s == 2 and radius > 0:
+            if s == 2 and self.schedule.r - final > 1:
                 for v in vertices:
                     scans[v] = scan(v, old)
-            tau = self.schedule.tau(s)
-            edges = [(v, y) for v, vs in scans.items()
-                     for y, score in vs.items() if v < y and score > tau]
             partner = greedy_maximal_matching(
-                edges, self.seed.derive("iter", s), encode=self.graph.canon)
+                _pairs_above(scans, self.schedule.tau(s)),
+                self.seed.derive("iter", s), encode=self.graph.canon)
             new = dict(old)
             delta = self.schedule.delta(s)
             for u, w in partner.items():
@@ -251,16 +247,9 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
         current[x] = v
     tables = [dict(current)]
     for t in range(2, schedule.rounds + 1):
-        tau = schedule.tau(t)
         delta = schedule.delta(t)
-        edges = [
-            (x, y)
-            for x, y, s in _violated_pairs(
-                graph, current.get, radius=scan_radius(schedule.r, tau),
-                lo=lo, hi=hi, budget=scan_budget,
-            )
-            if s > tau
-        ]
+        edges = [(x, y) for x, y, _ in _violated_pairs(
+            graph, current.get, tau=schedule.tau(t), lo=lo, hi=hi, budget=scan_budget)]
         partner = greedy_maximal_matching(
             edges, seed.derive("iter", t), encode=graph.canon
         )

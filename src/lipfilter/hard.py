@@ -165,13 +165,18 @@ def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
 def hard_instance_from_json(data) -> HardInstance:
     """The instance ``to_json`` wrote; InvalidParam unless r, b, the domain
     and the anchors pass the checks ``sample_hard_instance`` makes."""
-    graph = _graph_from_domain(data["domain"])
+    if not isinstance(data, dict):
+        raise InvalidParam(f"hard instance must be a JSON object, got {data!r}")
+    graph = _graph_from_domain(data.get("domain"))
     r = read_int(data, "r", "hard instance")
     b = read_int(data, "b", "hard instance")
     _check_params(graph, r, b)
-    pairs = tuple(
-        (graph.from_canon(a), graph.from_canon(ap)) for a, ap in data["anchors"]
-    )
+    anchors = data.get("anchors")
+    if not isinstance(anchors, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in anchors):
+        raise InvalidParam(f"hard instance needs 'anchors' as a list of [a, a'] "
+                           f"pairs, got {anchors!r}")
+    pairs = tuple((graph.from_canon(a), graph.from_canon(ap)) for a, ap in anchors)
     if not check_separation(graph, pairs, r, b):
         raise InvalidParam(f"anchor pairs must sit at distance r - b = {r - b} and "
                            f"more than {separation_threshold(graph.d, r)} from other pairs")

@@ -3,12 +3,13 @@ check.
 
 A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
-Because defined values span at most the range diameter r, every
-tau-violated partner of x sits within ``scan_radius(r, tau)``, which is
-the radius every caller hands ``scan_scored_neighbors``.  The scan also
-takes the interval [lo, hi] that every defined value lies in: a partner
-of x needs dist(x, y) < |f(x) - f(y)| <= max(hi - f(x), f(x) - lo), so a
-centre whose value sits mid-range walks a ball of about half the radius.
+``scan_scored_neighbors`` is the one routine that decides which partners
+of x are tau-violated and how far to look for them: it takes tau and the
+interval [lo, hi] that every defined value lies in.  A partner needs
+dist(x, y) < |f(x) - f(y)| - tau <= max(hi - f(x), f(x) - lo) - tau, so
+the scan walks the ball of radius ceil(max(hi - f(x), f(x) - lo) - tau)
+- 1 and nothing farther: a centre whose value sits mid-range, or a large
+tau, walks a small ball.
 """
 from __future__ import annotations
 
@@ -19,12 +20,6 @@ from .errors import PartialFunction
 from .functions import ValueMemo
 
 DEFAULT_SCAN_BUDGET = 200_000
-
-
-def scan_radius(r, tau) -> int:
-    """ceil(r - tau) - 1, floored at 0: the farthest a tau-violated partner
-    can sit when values differ by at most r."""
-    return max(0, math.ceil(r - tau) - 1)
 
 
 def violation_score(graph, f, x, y) -> Fraction:
@@ -39,35 +34,35 @@ def violation_score(graph, f, x, y) -> Fraction:
     return max(Fraction(0), abs(fx - fy) - d)
 
 
-def scan_scored_neighbors(graph, lookup, x, *, radius, lo, hi,
+def scan_scored_neighbors(graph, lookup, x, *, tau, lo, hi,
                           budget=DEFAULT_SCAN_BUDGET):
-    """{y: score} for every y within ``radius`` of x whose violation score
-    against x is positive, in ball order, with every score a Fraction.
+    """{y: score} for every y whose violation score against x exceeds
+    ``tau`` (>= 0), in ball order, with every score a Fraction.
 
     ``lookup`` is any callable vertex -> Fraction | None whose defined
     values all lie in [lo, hi]; the scan trusts that and does not check
-    it.  The tau-violated partners of x are the entries scoring above tau
-    at radius ``scan_radius(r, tau)``.  The ball walked is the smaller of
-    ``radius`` and ceil(max(hi - f(x), f(x) - lo)) - 1, since no partner
-    sits farther, so ``budget`` applies to that ball.
+    it.  No such y sits farther than ceil(max(hi - f(x), f(x) - lo) - tau)
+    - 1, so that is the ball walked, and ``budget`` applies to it.
     """
     fx = lookup(x)
     if fx is None:
         return {}
-    # With fx = a/b, hi = p/q and lo = s/t, ceil(hi - fx) is
-    # -((a*q - p*b) // (b*q)) and ceil(fx - lo) is -((s*b - a*t) // (b*t)):
-    # the cap is decided in ints, and without min() and max(), which here
-    # cost more than the arithmetic.
+    # With fx = a/b, tau = u/v, hi = p/q and lo = s/t, fx + tau and fx - tau
+    # are A/B and C/B with B = b*v; ceil(hi - fx - tau) is -((A*q - p*B) //
+    # (B*q)) and ceil(fx - tau - lo) is -((s*B - C*t) // (B*t)): the radius
+    # is decided in ints, and without min() and max(), which here cost more
+    # than the arithmetic.
     a, b = fx.numerator, fx.denominator
+    u, v = tau.numerator, tau.denominator
     p, q = hi.numerator, hi.denominator
     s, t = lo.numerator, lo.denominator
-    up = (a * q - p * b) // (b * q)      # -ceil(hi - fx)
-    down = (s * b - a * t) // (b * t)    # -ceil(fx - lo)
-    reach = -(up if up < down else down)  # ceil(max(hi - fx, fx - lo))
-    if reach <= radius:
-        radius = reach - 1
-    # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): its sign is
-    # decided in ints, and only positive scores become Fractions.
+    av, ub, B = a * v, u * b, b * v
+    up = ((av + ub) * q - p * B) // (B * q)    # -ceil(hi - fx - tau)
+    down = (s * B - (av - ub) * t) // (B * t)  # -ceil(fx - tau - lo)
+    radius = -(up if up < down else down) - 1
+    # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): whether it
+    # exceeds tau is decided in ints, a non-positive numerator is rejected
+    # before tau is looked at, and only kept scores become Fractions.
     out = {}
     for y, d in graph.ball(x, radius, budget=budget):
         if d == 0:
@@ -77,27 +72,34 @@ def scan_scored_neighbors(graph, lookup, x, *, radius, lo, hi,
             continue
         c, e = fy.numerator, fy.denominator
         num = abs(a * e - c * b) - d * b * e
-        if num > 0:
+        if num > 0 and num * v > ub * e:
             out[y] = Fraction(num, b * e)
     return out
 
 
-def _violated_pairs(graph, lookup, *, radius, lo, hi, budget=DEFAULT_SCAN_BUDGET):
-    """Every pair within ``radius`` with a positive score, once each, as
-    (low, high, score).  ``lookup``'s defined values lie in [lo, hi]."""
+def _violated_pairs(graph, lookup, *, tau, lo, hi, budget=DEFAULT_SCAN_BUDGET):
+    """Every tau-violated pair, once each, as (low, high, score).
+    ``lookup``'s defined values lie in [lo, hi]."""
     for x in graph.vertices():
         for y, score in scan_scored_neighbors(
-            graph, lookup, x, radius=radius, lo=lo, hi=hi, budget=budget
+            graph, lookup, x, tau=tau, lo=lo, hi=hi, budget=budget
         ).items():
             if x < y:
                 yield x, y, score
 
 
+def _pairs_above(scans, tau):
+    """The pairs of a store {x: {y: score}} of symmetric scans that score
+    above ``tau``, once each, as (low, high)."""
+    return [(x, y) for x, ys in scans.items()
+            for y, score in ys.items() if x < y and score > tau]
+
+
 def _all_violated_pairs(graph, f, budget):
     """_violated_pairs of f at tau = 0, reading f once per vertex."""
     values = {x: f.lookup(x) for x in graph.vertices()}
-    return _violated_pairs(graph, values.get, radius=scan_radius(f.r, 0),
-                           lo=f.lo, hi=f.hi, budget=budget)
+    return _violated_pairs(graph, values.get, tau=0, lo=f.lo, hi=f.hi,
+                           budget=budget)
 
 
 def violation_edges(graph, f, *, budget=DEFAULT_SCAN_BUDGET):

@@ -51,7 +51,8 @@ class TestGlobal:
         g = ExplicitGraph(2, [(0, 1)])
         f = TableFunction(g, {0: 0, 1: 4}, 4)
         assert global_filter_l0(g, f, {0, 1}) == {0: 0, 1: 0}
-        assert global_filter_l0(g, f, {0, 1}, lo=2) == {0: 2, 1: 2}
+        f = TableFunction(g, {0: 2, 1: 6}, 4, lo=2)
+        assert global_filter_l0(g, f, {0, 1}) == {0: 2, 1: 2}
 
     def test_undefined_cover_members_stay_undefined(self):
         g, f = path3([0, 3, "?"])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,15 +6,18 @@ import pytest
 
 from lipfilter import filter_l1, matching
 from lipfilter.seeds import edge_rank
-from lipfilter.violation import _violated_pairs, scan_radius
+from lipfilter.violation import _violated_pairs
 from lipfilter import (
     ExplicitGraph,
+    ExprFunction,
+    FilterMechanism,
     Hypercube,
     Hypergrid,
     InvalidParam,
     LocalFilterL1,
     OutOfDomain,
     PartialFunction,
+    Seed,
     TableFunction,
     global_filter_l1,
     is_c_lipschitz,
@@ -120,7 +124,9 @@ class TestLocalAgainstGlobal:
 
 
 def scan_radii(filt):
-    return {t: scan_radius(filt.schedule.r, filt.schedule.tau(t))
+    """{t: the farthest a tau_t-violated partner can sit}: ceil(r - tau_t)
+    - 1, floored at 0.  A round at 0 has no violated pair."""
+    return {t: max(0, math.ceil(filt.schedule.r - filt.schedule.tau(t)) - 1)
             for t in range(2, filt.schedule.rounds + 1)}
 
 
@@ -135,14 +141,15 @@ def carried_moves(filt, trace):
 
 
 class TestScanCarry:
-    """table() scans every vertex once, at the final round's radius, and
-    updates those scans in place after each round s < T: every value that
-    moved in round s is rescanned once, against the round-s table, and its
-    scores are written into its own scan and its partners'.  Each round
-    reads its edges from the same scans, filtered on score > tau_s.  At
-    r = 3 rounds 2, 3 and 4 have scan radius 0, 1 and 2, and later rounds
-    2; at r = 2 round 2 has radius 0 and later rounds 1.  A final radius
-    of 0 makes no scan, since no round can have a violated pair."""
+    """table() scans every vertex once, at the final round's threshold,
+    and updates those scans in place after each round s < T: every value
+    that moved in round s is rescanned once, against the round-s table,
+    and its scores are written into its own scan and its partners'.  Each
+    round reads its edges from the same scans, the pairs scoring above
+    tau_s.  At r = 3 a tau_t-violated partner sits within 0, 1 and 2 in
+    rounds 2, 3 and 4, and within 2 later; at r = 2 within 0 in round 2
+    and 1 later.  A final threshold with r - tau <= 1 makes no scan, since
+    no round can have a violated pair."""
 
     CUBE = Hypercube(8)
 
@@ -197,44 +204,50 @@ class TestScanCarry:
         assert carried > 0
         assert len(calls) == full + carried
 
-    def record_radii(self, monkeypatch):
-        radii = []
+    def record_taus(self, monkeypatch):
+        taus = []
         scan = filter_l1.scan_scored_neighbors
 
-        def recording(*args, radius, **kwargs):
-            radii.append(radius)
-            return scan(*args, radius=radius, **kwargs)
+        def recording(*args, tau, **kwargs):
+            taus.append(tau)
+            return scan(*args, tau=tau, **kwargs)
 
         monkeypatch.setattr(filter_l1, "scan_scored_neighbors", recording)
-        return radii
+        return taus
 
     def test_radius_zero_round_makes_no_scan(self, monkeypatch):
-        radii = self.record_radii(monkeypatch)
+        """Round 2 at r = 2 has r - tau_2 = 2/3 <= 1: neither table() nor
+        a point query scans at its threshold."""
+        taus = self.record_taus(monkeypatch)
         f = random_table(self.CUBE, random.Random(7), 2)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0))
-        assert scan_radius(2, filt.schedule.tau(2)) == 0
-        assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0))
-        assert radii and 0 not in radii
+        tau2 = filt.schedule.tau(2)
+        assert scan_radii(filt)[2] == 0
+        table = filt.table()
+        assert table == global_filter_l1(self.CUBE, f, seed_of(0))
+        assert taus and tau2 not in taus
+        x = next(iter(self.CUBE.vertices()))
+        assert LocalFilterL1(self.CUBE, f, seed_of(0)).value(x) == table[x]
+        assert len(set(taus)) > 2 and tau2 not in taus
 
     def test_final_radius_zero_makes_no_scan(self, monkeypatch):
-        radii = self.record_radii(monkeypatch)
+        taus = self.record_taus(monkeypatch)
         f = random_table(self.CUBE, random.Random(7), 2)
         slack = Fraction(4, 3)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0), slack=slack)
         assert scan_radii(filt) == {2: 0}
         assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0), slack=slack)
-        assert radii == []
+        assert taus == []
 
     def test_scans_only_at_final_radius(self, monkeypatch):
-        """At r = 3 rounds scan at radii 0, 1 and 2 in value(); table()
-        scans at the last round's radius only."""
-        radii = self.record_radii(monkeypatch)
+        """At r = 3 a partner sits within 0, 1 and 2 in rounds 2, 3 and 4;
+        table() scans at the last round's threshold only."""
+        taus = self.record_taus(monkeypatch)
         f = corrupted_lipschitz(self.CUBE, random.Random(100), 3, k=8)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0))
-        final = scan_radius(3, filt.schedule.final_threshold)
         assert set(scan_radii(filt).values()) == {0, 1, 2}
         assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0))
-        assert radii and set(radii) == {final}
+        assert taus and set(taus) == {filt.schedule.final_threshold}
 
     def test_partial_table_then_full(self):
         for f, seed in self.instances():
@@ -294,17 +307,14 @@ class TestGlobalRounds:
         f = corrupted_lipschitz(g, random.Random(100), 3, k=8)
         trace = global_filter_l1(g, f, seed_of(0), trace=True)
         filt = LocalFilterL1(g, f, seed_of(0))
-        r = filt.schedule.r
         expected = []
         for t in range(2, filt.schedule.rounds + 1):
-            tau = filt.schedule.tau(t)
             key = filt.seed.derive("iter", t).hex
             expected += [
                 (key, g.canon(x), g.canon(y))
-                for x, y, score in _violated_pairs(
-                    g, trace[t - 2].get, radius=scan_radius(r, tau),
+                for x, y, _ in _violated_pairs(
+                    g, trace[t - 2].get, tau=filt.schedule.tau(t),
                     lo=f.lo, hi=f.hi)
-                if score > tau
             ]
         ranked = []
 
@@ -317,6 +327,39 @@ class TestGlobalRounds:
         assert expected
         assert sorted(ranked) == sorted(expected)
         assert len(set(ranked)) == len(ranked)
+
+
+class TestPointQueryCost:
+    """Five noise-free ``FilterMechanism`` answers on a 12-cube, pinned.
+
+    Each round's scan asks for the pairs scoring above its tau_t and walks
+    ceil(max(hi - f(x), f(x) - lo) - tau_t) - 1.  When the scans walked
+    the wider ceil(r - tau_t) - 1 (capped by the tau-free reach) and the
+    filter dropped the scores at or below tau_t itself, the same answers
+    took 3,627 balls of 47,811 vertices and read 13,102 values."""
+
+    ANSWERS = [Fraction(2, 3), Fraction(2, 3), Fraction(2, 3), Fraction(4, 9),
+               Fraction(7, 3)]
+
+    def test_answers_and_work(self, monkeypatch):
+        g = Hypercube(12)
+        f = ExprFunction(g, "3*(sum() - 2*floor(1/2*sum()))", 3)
+        balls = []
+        ball = g.ball
+
+        def counting(x, radius, **kw):
+            out = ball(x, radius, **kw)
+            balls.append(len(out))
+            return out
+
+        monkeypatch.setattr(g, "ball", counting)
+        rng = random.Random(5)
+        answers = []
+        for i in range(5):
+            x = tuple(rng.randrange(2) for _ in range(12))
+            answers.append(FilterMechanism(g, f, 1, Seed.from_int(i)).answer(x))
+        assert answers == self.ANSWERS
+        assert (len(balls), sum(balls), f.lookups) == (1510, 19828, 6519)
 
 
 class TestInvariants:

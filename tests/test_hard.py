@@ -151,6 +151,19 @@ class TestJson:
         with pytest.raises(InvalidParam):
             hard_instance_from_json(self.anchors_doc([], r=r, b=b))
 
+    @pytest.mark.parametrize("doc", [
+        {"domain": {"kind": "hypercube", "d": 4}, "r": 2, "b": 0},
+        {"r": 2, "b": 0, "anchors": [["0000", "1100"]]},
+        {"domain": {"kind": "hypercube", "d": 4}, "r": 2, "b": 0,
+         "anchors": [["0000"]]},
+        {"domain": {"kind": "hypercube", "d": 4}, "r": 2, "b": 0, "anchors": 5},
+        [["0000", "1100"]],
+    ], ids=["no-anchors", "no-domain", "one-anchor-pair", "anchors-not-a-list",
+            "not-an-object"])
+    def test_rejects_malformed_document(self, doc):
+        with pytest.raises(InvalidParam):
+            hard_instance_from_json(doc)
+
     def test_rejects_explicit_domain(self):
         doc = {"domain": {"kind": "explicit", "vertices": 3, "edges": [[0, 1]]},
                "r": 2, "b": 0, "anchors": []}

@@ -44,3 +44,18 @@ def test_table_ranks_are_traced():
         LocalFilterL1(g, f, seed_of(0)).table()
     counts, _ = tracer.per_op[0]
     assert counts.get("seeds.rank", 0) > 0
+
+
+def test_l1_point_query_is_traced():
+    """A point query of the l1 filter hands the scan a lookup and the
+    matching a neighbour oracle, both defined in ``filter_l1``, so the
+    tracer counts them as that layer's callbacks."""
+    tracer = load_layertrace().Tracer()
+    g = Hypercube(5)
+    f = random_table(g, random.Random(3), 3)
+    with tracer.operation(0):
+        LocalFilterL1(g, f, seed_of(0)).value((0,) * 5)
+    counts, _ = tracer.per_op[0]
+    assert counts.get("filter_l1.value", 0) == 1
+    assert counts.get("violation.scan", 0) > 0
+    assert counts.get("filter_l1.callback", 0) > 0

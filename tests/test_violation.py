@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,18 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipfilter import (
+    DEFAULT_SLACK,
     BudgetExceeded,
     ExplicitGraph,
     ExprFunction,
     Hypercube,
     Hypergrid,
     TableFunction,
+    make_schedule,
     max_violation_score,
     scan_scored_neighbors,
     violation_edges,
     violation_score,
 )
-from lipfilter.violation import _violated_pairs, scan_radius
+from lipfilter.violation import _violated_pairs
 from helpers import lipschitz_table, random_connected_graph
 
 
@@ -56,8 +59,7 @@ class TestScan:
     def test_positive_only(self):
         g = Hypergrid(5, 1)
         f = TableFunction(g, {(i,): 0 for i in range(1, 6)} | {(3,): 4}, 4)
-        got = scan_scored_neighbors(g, f.lookup, (3,), radius=scan_radius(f.r, 0),
-                                    lo=f.lo, hi=f.hi)
+        got = scan_scored_neighbors(g, f.lookup, (3,), tau=0, lo=f.lo, hi=f.hi)
         assert got == {(1,): 2, (2,): 3, (4,): 3, (5,): 2}
 
     def test_radius_truncation(self):
@@ -65,22 +67,21 @@ class TestScan:
         values = {(i,): 0 for i in range(1, 10)}
         values[(1,)] = 4
         f = TableFunction(g, values, 4)
-        # radius ceil(r) - 1 = 3 reaches only up to (4,)
-        got = scan_scored_neighbors(g, f.lookup, (1,), radius=scan_radius(f.r, 0),
-                                    lo=f.lo, hi=f.hi)
+        # radius ceil(4 - tau) - 1 reaches (4,) at tau = 0 and (3,) at tau = 1
+        got = scan_scored_neighbors(g, f.lookup, (1,), tau=0, lo=f.lo, hi=f.hi)
         assert got == {(2,): 3, (3,): 2, (4,): 1}
-        wider = scan_scored_neighbors(g, f.lookup, (1,), radius=8, lo=f.lo, hi=f.hi)
-        assert wider == got
+        assert scan_scored_neighbors(g, f.lookup, (1,), tau=1, lo=f.lo,
+                                     hi=f.hi) == {(2,): 3, (3,): 2}
 
     def test_undefined_center(self):
         g, f = path3(["?", 3, 0])
-        assert scan_scored_neighbors(g, f.lookup, 0, radius=2, lo=f.lo, hi=f.hi) == {}
+        assert scan_scored_neighbors(g, f.lookup, 0, tau=0, lo=f.lo, hi=f.hi) == {}
 
     def test_budget(self):
         g = Hypergrid(4, 4)
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 4)
         with pytest.raises(BudgetExceeded, match=r"ball\(1111, 3\)"):
-            scan_scored_neighbors(g, f.lookup, (1, 1, 1, 1), radius=3,
+            scan_scored_neighbors(g, f.lookup, (1, 1, 1, 1), tau=0,
                                   lo=f.lo, hi=f.hi, budget=3)
 
 
@@ -90,52 +91,76 @@ _value = st.one_of(
     st.integers(0, 4),
     st.builds(Fraction, st.integers(0, 48), st.integers(1, 12)),
 )
+# tau = 0 (the l0 filter), every round threshold of the r = 2 and r = 3
+# schedules (the l1 filter), and any fraction in [0, 4)
+SCHEDULE_TAUS = sorted({
+    sched.tau(t)
+    for sched in (make_schedule(2, DEFAULT_SLACK), make_schedule(3, DEFAULT_SLACK))
+    for t in range(2, sched.rounds + 1)
+})
+_tau = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from(SCHEDULE_TAUS),
+    st.fractions(min_value=0, max_value=4, max_denominator=12).filter(lambda t: t < 4),
+)
 
 
-def brute_force_scores(values, x, radius):
-    """{y: score} for y within radius of x in CUBE4 with a positive score."""
+def brute_force_scores(values, x, tau):
+    """{y: score} for every y in CUBE4 scoring above tau against x."""
     f = SimpleNamespace(lookup=values.get)
     out = {}
     for y in CUBE4.vertices():
-        if y != x and CUBE4.dist(x, y) <= radius:
-            score = violation_score(CUBE4, f, x, y)
-            if score > 0:
-                out[y] = score
+        score = violation_score(CUBE4, f, x, y)
+        if y != x and score > tau:
+            out[y] = score
     return out
+
+
+def brute_force_pairs(values, tau):
+    return {
+        (x, y, score)
+        for x in CUBE4.vertices()
+        for y, score in brute_force_scores(values, x, tau).items()
+        if x < y
+    }
 
 
 class TestScanProperty:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(_value, min_size=16, max_size=16), st.integers(0, 5))
-    def test_equals_brute_force(self, table, radius):
+    @given(st.lists(_value, min_size=16, max_size=16), _tau)
+    def test_equals_brute_force(self, table, tau):
         values = dict(zip(CUBE4.vertices(), table))
         for x in CUBE4.vertices():
-            got = scan_scored_neighbors(CUBE4, values.get, x, radius=radius,
-                                        lo=0, hi=48)
-            assert got == brute_force_scores(values, x, radius)
+            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, lo=0, hi=48)
+            assert got == brute_force_scores(values, x, tau)
             assert all(type(s) is Fraction for s in got.values())
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(_value, min_size=16, max_size=16), st.integers(0, 5))
-    def test_pairs_equal_brute_force(self, table, radius):
+    @given(st.lists(_value, min_size=16, max_size=16), _tau)
+    def test_pairs_equal_brute_force(self, table, tau):
         values = dict(zip(CUBE4.vertices(), table))
-        got = list(_violated_pairs(CUBE4, values.get, radius=radius, lo=0, hi=48))
-        want = {
-            (x, y, score)
-            for x in CUBE4.vertices()
-            for y, score in brute_force_scores(values, x, radius).items()
-            if x < y
-        }
+        got = list(_violated_pairs(CUBE4, values.get, tau=tau, lo=0, hi=48))
         assert len(got) == len(set(got))
-        assert set(got) == want
+        assert set(got) == brute_force_pairs(values, tau)
 
 
 def tau_violated(g, f, tau, x):
-    """The l1 matcher's rule: partners scoring above tau within
-    scan_radius(r, tau)."""
-    scan = scan_scored_neighbors(g, f.lookup, x, radius=scan_radius(f.r, tau),
-                                 lo=f.lo, hi=f.hi)
-    return [y for y, s in scan.items() if s > tau]
+    """The l1 matcher's rule: the partners scoring above tau."""
+    return list(scan_scored_neighbors(g, f.lookup, x, tau=tau, lo=f.lo, hi=f.hi))
+
+
+def recording_ball(monkeypatch, g):
+    """Patch g.ball to record (radius, size) of every ball it builds."""
+    walked = []
+    original = g.ball
+
+    def ball(x, radius, **kw):
+        out = original(x, radius, **kw)
+        walked.append((radius, len(out)))
+        return out
+
+    monkeypatch.setattr(g, "ball", ball)
+    return walked
 
 
 class TestThreshold:
@@ -145,12 +170,13 @@ class TestThreshold:
         assert tau_violated(g, f, Fraction(199, 100), 0) == [1]
         assert tau_violated(g, f, 2, 0) == []
 
-    def test_truncation_radius_zero(self):
+    def test_truncation_radius_zero(self, monkeypatch):
         g = Hypergrid(6, 1)
         f = TableFunction(g, {(i,): 0 for i in range(1, 7)}, 4)
-        # tau >= r - 1 makes ceil(r - tau) - 1 <= 0: nothing to scan
-        assert scan_radius(f.r, Fraction(7, 2)) == 0
+        # tau >= r - 1 makes ceil(r - tau) - 1 <= 0: only the centre is walked
+        walked = recording_ball(monkeypatch, g)
         assert tau_violated(g, f, Fraction(7, 2), (3,)) == []
+        assert walked == [(0, 1)]
 
     def test_dangerous(self):
         # a vertex is dangerous when it has a 0-violated partner
@@ -214,52 +240,65 @@ _widen = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
 
 class TestScanCap:
-    """The scan walks min(radius, ceil(max(hi - f(x), f(x) - lo)) - 1)."""
+    """The scan walks ceil(max(hi - f(x), f(x) - lo) - tau) - 1."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(_in_range, min_size=16, max_size=16), st.integers(0, 5),
-           _widen, _widen)
-    def test_any_enclosing_interval_equals_brute_force(self, table, radius, below, above):
+    @given(st.lists(_in_range, min_size=16, max_size=16), _tau, _widen, _widen)
+    def test_any_enclosing_interval_equals_brute_force(self, table, tau, below, above):
         values = dict(zip(CUBE4.vertices(), table))
         defined = [v for v in table if v is not None] or [Fraction(0)]
         lo, hi = min(defined) - below, max(defined) + above
         for x in CUBE4.vertices():
-            got = scan_scored_neighbors(CUBE4, values.get, x, radius=radius,
-                                        lo=lo, hi=hi)
-            assert got == brute_force_scores(values, x, radius)
-        pairs = list(_violated_pairs(CUBE4, values.get, radius=radius, lo=lo, hi=hi))
+            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, lo=lo, hi=hi)
+            assert got == brute_force_scores(values, x, tau)
+        pairs = list(_violated_pairs(CUBE4, values.get, tau=tau, lo=lo, hi=hi))
         assert len(pairs) == len(set(pairs))
-        assert set(pairs) == {
-            (x, y, score)
-            for x in CUBE4.vertices()
-            for y, score in brute_force_scores(values, x, radius).items()
-            if x < y
-        }
+        assert set(pairs) == brute_force_pairs(values, tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_in_range, min_size=16, max_size=16), _tau, _widen, _widen)
+    def test_walks_the_bound_computed_in_fractions(self, table, tau, below, above):
+        values = dict(zip(CUBE4.vertices(), table))
+        defined = [v for v in table if v is not None] or [Fraction(0)]
+        lo, hi = min(defined) - below, max(defined) + above
+        for x in CUBE4.vertices():
+            radii = []
+
+            def ball(centre, radius, **kw):
+                radii.append(radius)
+                return Hypercube.ball(CUBE4, centre, radius, **kw)
+
+            graph = SimpleNamespace(ball=ball)
+            scan_scored_neighbors(graph, values.get, x, tau=tau, lo=lo, hi=hi)
+            fx = values[x]
+            want = [] if fx is None else [math.ceil(max(hi - fx, fx - lo) - tau) - 1]
+            assert radii == want
 
     CUBE8 = Hypercube(8)
     MID = (1, 1, 1, 1, 0, 0, 0, 0)  # sum 4: both ends of [0, 8] are 4 away
 
-    def test_mid_range_centre_walks_radius_3(self, monkeypatch):
+    def walked(self, monkeypatch, tau):
         g = self.CUBE8
         f = ExprFunction(g, "sum()", 8)
-        sizes = []
+        walked = recording_ball(monkeypatch, g)
+        scan_scored_neighbors(g, f.lookup, self.MID, tau=tau, lo=f.lo, hi=f.hi)
+        return walked
 
-        def ball(x, radius, **kw):
-            out = Hypercube.ball(g, x, radius, **kw)
-            sizes.append(len(out))
-            return out
+    def test_mid_range_centre_walks_radius_3(self, monkeypatch):
+        # ceil(4 - 0) - 1 = 3: the Hamming ball of radius 3 has 93 vertices
+        assert self.walked(monkeypatch, 0) == [(3, 1 + 8 + 28 + 56)]
 
-        monkeypatch.setattr(g, "ball", ball)
-        scan_scored_neighbors(g, f.lookup, self.MID, radius=scan_radius(f.r, 0),
-                              lo=f.lo, hi=f.hi)
-        assert sizes == [1 + 8 + 28 + 56]  # Hamming ball of radius 3: 93
+    def test_tau_shrinks_the_walked_ball(self, monkeypatch):
+        # ceil(4 - 3/2) - 1 = 2: 37 vertices
+        assert self.walked(monkeypatch, Fraction(3, 2)) == [(2, 1 + 8 + 28)]
 
     def test_budget_applies_to_the_capped_ball(self):
         g = self.CUBE8
         f = ExprFunction(g, "sum()", 8)
-        radius = scan_radius(f.r, 0)
-        assert scan_scored_neighbors(g, f.lookup, self.MID, radius=radius,
-                                     lo=f.lo, hi=f.hi, budget=93) == {}
-        with pytest.raises(BudgetExceeded, match=r"ball\(11110000, 3\)"):
-            scan_scored_neighbors(g, f.lookup, self.MID, radius=radius,
-                                  lo=f.lo, hi=f.hi, budget=92)
+        for tau, radius, size in [(0, 3, 93), (Fraction(3, 2), 2, 37)]:
+            assert scan_scored_neighbors(g, f.lookup, self.MID, tau=tau,
+                                         lo=f.lo, hi=f.hi, budget=size) == {}
+            with pytest.raises(BudgetExceeded,
+                               match=rf"ball\(11110000, {radius}\)"):
+                scan_scored_neighbors(g, f.lookup, self.MID, tau=tau,
+                                      lo=f.lo, hi=f.hi, budget=size - 1)
