@@ -12,7 +12,7 @@ from lipfilter import (
     Hypercube,
     Interval,
     Seed,
-    eps_of_interval,
+    exact_l0_distance,
     tolerant_test,
 )
 
@@ -31,7 +31,7 @@ for name, f in (("cone (Lipschitz)", cone), ("2 * parity", parity)):
     print(f"{name:18} -> {verdict}  estimates [{ests}]  "
           f"threshold {float(report.params.threshold):.3f}")
 
-dist = eps_of_interval(cube, parity, Interval(Fraction(0), Fraction(2)))
+dist = exact_l0_distance(cube, parity.restrict(Interval(Fraction(0), Fraction(2))))
 print()
 print(f"certified distance of 2*parity inside the [0,2] window: {dist}")
 print(f"rejection is required above 2.01 * eps = {float(Fraction(201,100)*eps):.3f}")

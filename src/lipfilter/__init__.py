@@ -34,7 +34,6 @@ from .filter_l1 import (
     LocalFilterL1,
     Schedule,
     global_filter_l1,
-    local_filter_l1,
     make_schedule,
 )
 from .functions import (
@@ -45,7 +44,6 @@ from .functions import (
     Interval,
     RestrictedFunction,
     TableFunction,
-    format_rational,
     format_value,
     function_to_json,
     load_function,
@@ -73,13 +71,11 @@ from .privacy import (
     FilterMechanism,
     MechanismResult,
     NoiseSource,
-    laplace_mechanism,
 )
 from .seeds import SEED_BYTES, Seed, edge_rank
 from .tester import (
     TesterParams,
     TestReport,
-    eps_of_interval,
     make_params,
     tolerant_test,
     tolerant_test_once,

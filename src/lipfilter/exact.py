@@ -16,6 +16,9 @@ from .errors import CapExceeded, InvalidParam, PartialFunction, SizeExceeded
 from .simplex import solve_min
 from .violation import violation_edges
 
+# Largest domain exact_l1_distance solves: its LP tableau is dense.
+MAX_L1_VERTICES = 64
+
 
 def min_vertex_cover(edges, *, cap=None):
     """Minimum vertex cover of an undirected graph given as an edge list.
@@ -74,7 +77,7 @@ def exact_l0_distance(graph, f, *, cap=None):
     return Fraction(len(cover), graph.n_vertices)
 
 
-def exact_l1_distance(graph, f, *, max_vertices=64, with_witness=False):
+def exact_l1_distance(graph, f, *, with_witness=False):
     """Normalized l1 distance from f to the nearest Lipschitz function.
 
     Solves min (1/N) sum |g(x) - f(x)| over 1-Lipschitz g exactly.  With
@@ -83,8 +86,8 @@ def exact_l1_distance(graph, f, *, max_vertices=64, with_witness=False):
     because the LP tableau is dense.
     """
     n = graph.n_vertices
-    if n > max_vertices:
-        raise SizeExceeded(f"domain has {n} > {max_vertices} vertices")
+    if n > MAX_L1_VERTICES:
+        raise SizeExceeded(f"domain has {n} > {MAX_L1_VERTICES} vertices")
     verts = sorted(graph.vertices())
     index = {x: i for i, x in enumerate(verts)}
     lo = f.lo

@@ -224,11 +224,6 @@ class LocalFilterL1:
         return {x: self._tables[t][x] for x in vertices}
 
 
-def local_filter_l1(graph, f, seed: Seed, x, *, slack=DEFAULT_SLACK, **kw) -> Fraction:
-    """One-shot query; see LocalFilterL1 for sessions."""
-    return LocalFilterL1(graph, f, seed, slack=slack, **kw).value(x)
-
-
 def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
                      trace=False, scan_budget=DEFAULT_SCAN_BUDGET):
     """Reference implementation: materialize every round over the domain.

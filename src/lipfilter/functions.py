@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import exprs
 from .errors import InvalidInterval, InvalidParam, OutOfDomain, RangeViolation
-from .graphs import Hypercube, Hypergrid, load_graph, read_int, read_json
+from .graphs import Hypercube, Hypergrid, graph_to_json, load_graph, read_int, read_json
 
 
 def parse_rational(s) -> Fraction:
@@ -34,10 +34,6 @@ def parse_rational(s) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidParam(f"not a rational number: {text!r}") from None
-
-
-def format_rational(v: Fraction) -> str:
-    return str(v)
 
 
 def parse_value(s):
@@ -86,7 +82,7 @@ class FunctionOracle:
 
     checks_range = True
 
-    def __init__(self, r, *, lo=0, graph=None):
+    def __init__(self, graph, r, *, lo=0):
         self.r = parse_rational(r)
         self.lo = parse_rational(lo)
         if self.r < 0:
@@ -111,8 +107,7 @@ class FunctionOracle:
             self._lookups = 0
 
     def lookup(self, x):
-        if self.graph is not None:
-            self.graph.check_vertex(x)
+        self.graph.check_vertex(x)
         v = self._read(x)
         if v is not None and self.checks_range and not (self.lo <= v <= self.hi):
             raise RangeViolation(
@@ -155,7 +150,7 @@ class TableFunction(FunctionOracle):
     checks_range = False
 
     def __init__(self, graph, values: dict, r, *, default="?", lo=0):
-        super().__init__(r, lo=lo, graph=graph)
+        super().__init__(graph, r, lo=lo)
         self.default = parse_value(default)
         table = {}
         for x, v in values.items():
@@ -182,7 +177,7 @@ class ExprFunction(FunctionOracle):
     """
 
     def __init__(self, graph, program, r, *, lo=0):
-        super().__init__(r, lo=lo, graph=graph)
+        super().__init__(graph, r, lo=lo)
         if isinstance(program, str):
             d = graph.d if isinstance(graph, Hypergrid) else None
             program = exprs.parse_expr(program, d)
@@ -201,7 +196,7 @@ class CallableFunction(FunctionOracle):
     """
 
     def __init__(self, graph, fn, r, *, lo=0):
-        super().__init__(r, lo=lo, graph=graph)
+        super().__init__(graph, r, lo=lo)
         self._fn = fn
 
     def _value(self, x):
@@ -222,7 +217,7 @@ class ClippedFunction(FunctionOracle):
     def __init__(self, base: FunctionOracle, lo, hi):
         if lo > hi:
             raise InvalidInterval(f"clip bounds out of order: {lo} > {hi}")
-        super().__init__(hi - lo, lo=lo, graph=base.graph)
+        super().__init__(base.graph, hi - lo, lo=lo)
         self.base = base
 
     def _value(self, x):
@@ -238,7 +233,7 @@ class RestrictedFunction(FunctionOracle):
     checks_range = False
 
     def __init__(self, base: FunctionOracle, interval: Interval):
-        super().__init__(interval.width, lo=interval.lo, graph=base.graph)
+        super().__init__(base.graph, interval.width, lo=interval.lo)
         self.base = base
         self.interval = interval
 
@@ -249,9 +244,10 @@ class RestrictedFunction(FunctionOracle):
         return v
 
 
-def _graph_from_domain(dom: dict):
+def _graph_from_domain(dom: dict, doc: str):
+    """The graph a ``doc`` document's ``domain`` names."""
     if not isinstance(dom, dict):
-        raise InvalidParam(f"function domain must be a JSON object, got {dom!r}")
+        raise InvalidParam(f"{doc} domain must be a JSON object, got {dom!r}")
     kind = dom.get("kind")
     if kind == "explicit":
         return load_graph(dom)
@@ -268,8 +264,7 @@ def _domain_to_json(graph) -> dict:
         return {"kind": "hypercube", "d": graph.d}
     if isinstance(graph, Hypergrid):
         return {"kind": "hypergrid", "n": graph.n, "d": graph.d}
-    return {"kind": "explicit", "vertices": graph.n_vertices,
-            "edges": [list(e) for e in graph.edges()]}
+    return {"kind": "explicit", **graph_to_json(graph)}
 
 
 def load_function(source) -> tuple:
@@ -284,7 +279,7 @@ def load_function(source) -> tuple:
         r = data["r"]
     except (TypeError, KeyError) as exc:
         raise InvalidParam(f"function document missing {exc}") from exc
-    graph = _graph_from_domain(domain)
+    graph = _graph_from_domain(domain, "function")
     values = data.get("values", {})
     if not isinstance(values, dict):
         raise InvalidParam(f"function values must be a JSON object, got {values!r}")
@@ -299,7 +294,7 @@ def function_to_json(graph, f: FunctionOracle) -> dict:
     """Serialize a total or partial function by exhaustive lookup."""
     return {
         "domain": _domain_to_json(graph),
-        "r": format_rational(f.r),
+        "r": str(f.r),
         "values": {graph.canon(x): format_value(f.lookup(x)) for x in graph.vertices()},
         "default": "?",
     }

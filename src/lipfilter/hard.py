@@ -47,15 +47,6 @@ class HardInstance:
     def to_oracle(self) -> CallableFunction:
         return CallableFunction(self.graph, self.value, self.r)
 
-    def support(self):
-        """Vertices carrying a non-baseline value, as a set."""
-        half = self.r // 2
-        out = set()
-        for a, ap in self.pairs:
-            for anchor in (a, ap):
-                out.update(v for v, _ in self.graph.ball(anchor, half, open_=True))
-        return out
-
     def corresponding_pairs(self):
         """Geodesic twin pairs (x, y); each has violation score exactly b.
 
@@ -167,7 +158,7 @@ def hard_instance_from_json(data) -> HardInstance:
     and the anchors pass the checks ``sample_hard_instance`` makes."""
     if not isinstance(data, dict):
         raise InvalidParam(f"hard instance must be a JSON object, got {data!r}")
-    graph = _graph_from_domain(data.get("domain"))
+    graph = _graph_from_domain(data.get("domain"), "hard instance")
     r = read_int(data, "r", "hard instance")
     b = read_int(data, "b", "hard instance")
     _check_params(graph, r, b)

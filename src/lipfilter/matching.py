@@ -29,14 +29,14 @@ class MatchingLCA:
     cached as ``(rank, edge)`` pairs in ascending rank, each edge ranked
     once.  ``match_of`` walks that list; the blockers of an edge are the
     entries of smaller rank in its endpoints' lists.  Every edge whose
-    verdict a top-level query (``match_of`` or ``edge_matched``) has to
-    compute counts once against ``budget``; memoized verdicts are free.
+    verdict a ``match_of`` query has to compute counts once against
+    ``budget``; memoized verdicts are free.
 
     Args:
         neighbors: callable vertex -> iterable of adjacent vertices.
         seed: rank PRF key.
         encode: canonical vertex encoding (graph.canon).
-        budget: cap on newly explored edges per top-level query.
+        budget: cap on newly explored edges per ``match_of`` query.
     """
 
     def __init__(self, neighbors, seed: Seed, *, encode, budget=DEFAULT_EDGE_BUDGET):
@@ -96,16 +96,6 @@ class MatchingLCA:
             stack.pop()
         return verdict[root]
 
-    def edge_matched(self, u, v) -> bool:
-        """Whether {u, v} is in the matching; False if it is not an edge."""
-        with self._lock:
-            self._used = 0
-            e = (u, v) if u < v else (v, u)
-            for rank, f in self._incident(u):
-                if f == e:
-                    return self._eval(rank, e)
-            return False
-
     def match_of(self, x):
         """Partner of ``x`` in the matching, or None if unmatched."""
         with self._lock:
@@ -114,14 +104,6 @@ class MatchingLCA:
                 if self._eval(rank, e):
                     return e[1] if e[0] == x else e[0]
             return None
-
-    def transcript(self, vertices) -> dict:
-        """match_of over a vertex list, as {canon(x): canon(partner) | None}."""
-        out = {}
-        for x in vertices:
-            m = self.match_of(x)
-            out[self._encode(x)] = None if m is None else self._encode(m)
-        return out
 
 
 def greedy_maximal_matching(edges, seed: Seed, *, encode) -> dict:

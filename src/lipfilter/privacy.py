@@ -51,10 +51,6 @@ class NoiseSource:
         return -float(scale) * s * math.log1p(-2.0 * abs(u))
 
 
-def laplace_mechanism(value, scale, noise: NoiseSource):
-    return value + noise.laplace(scale)
-
-
 @dataclass(frozen=True)
 class MechanismResult:
     value: object
@@ -66,7 +62,9 @@ class FilterMechanism:
     """Per-query eps-DP release of a 1-Lipschitz-corrected value.
 
     The client's function is clamped into [lo, lo+r] before filtering, so
-    out-of-range submissions cannot widen the sensitivity.
+    out-of-range submissions cannot widen the sensitivity.  The values an
+    answer reads, and so ``f.lookups``, depend on f near x: each scan walks
+    only as far as f(x)'s distance to the ends of [lo, lo+r] lets a partner sit.
     """
 
     def __init__(self, graph, f, eps, seed: Seed, *,
@@ -85,7 +83,7 @@ class FilterMechanism:
         g = self.filter.value(x)
         if noise is None:
             return g
-        return laplace_mechanism(g, self.scale, noise)
+        return g + noise.laplace(self.scale)
 
 
 class BinarySearchMechanism:
@@ -102,14 +100,14 @@ class BinarySearchMechanism:
     depend on f(x).
     """
 
-    def __init__(self, graph, f, eps, seed: Seed, *, r_opt=None,
+    def __init__(self, graph, f, eps, seed: Seed, *,
                  scan_budget: int = DEFAULT_SCAN_BUDGET,
                  match_budget: int = DEFAULT_EDGE_BUDGET):
         self.eps = parse_rational(eps)
         if self.eps <= 0:
             raise InvalidParam("eps must be positive")
 
-        r = parse_rational(f.r if r_opt is None else r_opt)
+        r = f.r
         if isinstance(graph, Hypergrid):
             r = min(r, Fraction(graph.n * graph.d))
         if r < 2:
@@ -171,8 +169,7 @@ class BinarySearchMechanism:
         for i in self._probes():
             count += 1
             g = self._session(i, t).value(x) - self.f.lo
-            reading = g if noise is None else laplace_mechanism(
-                g, self.noise_scale, noise)
+            reading = g if noise is None else g + noise.laplace(self.noise_scale)
             if t - self.alpha <= reading <= t + self.alpha:
                 break  # reading certified close; release it as is
             step = math.ceil(self.r / 2 ** i)

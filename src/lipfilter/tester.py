@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam, PartialFunction
-from .exact import exact_l0_distance
 from .filter_l0 import LocalFilterL0
 from .functions import Interval, parse_rational
 from .graphs import Hypergrid, random_vertex
@@ -105,12 +104,3 @@ def tolerant_test(graph, f, eps, seed: Seed, *, m: int | None = None,
         accept=2 * votes > params.reps,
         estimates=tuple(estimates),
         params=params)
-
-
-def eps_of_interval(graph, f, interval: Interval, *, cap=None) -> Fraction:
-    """l0 distance of the restriction f_I to the Lipschitz partial functions.
-
-    Equals |min vertex cover of the violation graph of f_I| / N.  Used to
-    certify how far reject instances stay from Lipschitz inside a window.
-    """
-    return exact_l0_distance(graph, f.restrict(interval), cap=cap)

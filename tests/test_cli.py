@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from lipfilter.cli import main
 from helpers import seed_of
 
 SEED = seed_of(1).hex
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -369,3 +372,37 @@ class TestErrors:
         assert captured.err.startswith("error:") and "f(2) = ?" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+def readme_commands():
+    """The ``lipfilter`` commands in README's "Command line" block, as
+    argument lists, continuation lines joined."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "lipfilter", line
+            commands.append(argv[1:])
+    return commands
+
+
+# README: exit 0 for success or accept; the tester's example function,
+# min(sum(), 2), is Lipschitz, so the tester accepts it
+README_EXIT = {"filter": 0, "test": 0, "mechanism": 0, "gen-hard": 0, "bench": 0}
+
+
+def test_readme_lists_commands():
+    assert {argv[0] for argv in readme_commands()} == set(README_EXIT) | {"oracle"}
+
+
+@pytest.mark.parametrize("argv", [
+    argv for argv in readme_commands() if "--function" not in argv
+], ids=lambda argv: argv[0])
+def test_readme_command_runs(capsys, argv):
+    # a fixed seed only pins the run; each command draws one when omitted
+    code, out = run(capsys, argv + ["--seed", SEED])
+    assert code == README_EXIT[argv[0]]
+    assert out["seed"] == SEED

@@ -21,7 +21,6 @@ from lipfilter import (
     TableFunction,
     global_filter_l1,
     is_c_lipschitz,
-    local_filter_l1,
     make_schedule,
     max_violation_score,
 )
@@ -120,7 +119,7 @@ class TestLocalAgainstGlobal:
 
     def test_one_shot_helper(self):
         g, f = two_path()
-        assert local_filter_l1(g, f, seed_of(0), 0, slack=1) == Fraction(4, 3)
+        assert LocalFilterL1(g, f, seed_of(0), slack=1).value(0) == Fraction(4, 3)
 
 
 def scan_radii(filt):

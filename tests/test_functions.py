@@ -1,4 +1,5 @@
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from lipfilter import (
     Hypergrid,
     Interval,
     InvalidInterval,
+    InvalidParam,
     LocalFilterL0,
     OutOfDomain,
     RangeViolation,
@@ -242,6 +244,8 @@ class TestJson:
         g = ExplicitGraph(3, [(0, 1), (1, 2)])
         f = TableFunction(g, {0: 0, 1: "3/2"}, 2)
         doc = function_to_json(g, f)
+        assert doc["domain"] == {"kind": "explicit", "vertices": 3,
+                                 "edges": [[0, 1], [1, 2]]}
         g2, f2 = load_function(doc)
         assert [f2.lookup(x) for x in g2.vertices()] == [0, Fraction(3, 2), None]
         path = tmp_path / "f.json"
@@ -262,3 +266,9 @@ class TestJson:
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 1)
         g2, f2 = load_function(function_to_json(g, f))
         assert g2.n == 3 and g2.d == 2
+
+    @pytest.mark.parametrize("domain", [5, None, [3, 2]])
+    def test_non_object_domain_named_as_function_domain(self, domain):
+        msg = f"function domain must be a JSON object, got {domain!r}"
+        with pytest.raises(InvalidParam, match=f"^{re.escape(msg)}$"):
+            load_function({"domain": domain, "r": "2"})

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,17 +78,6 @@ class TestStructure:
         if all(g.dist(far, v) >= 2 for v in (a, ap)):
             assert inst.value(far) == 2
 
-    def test_support_matches_open_balls(self):
-        g = Hypergrid(5, 3)
-        inst = sample_hard_instance(g, 4, 1, seed_of(4), m=1)
-        support = inst.support()
-        half = 2
-        for x in g.vertices():
-            inside = any(
-                g.dist(x, v) < half for pair in inst.pairs for v in pair
-            )
-            assert (x in support) == inside
-
     def test_range_respected(self):
         g = Hypercube(12)
         inst = sample_hard_instance(g, 4, 1, seed_of(5), m=2)
@@ -162,6 +152,15 @@ class TestJson:
             "not-an-object"])
     def test_rejects_malformed_document(self, doc):
         with pytest.raises(InvalidParam):
+            hard_instance_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"r": 2, "b": 0, "anchors": []},
+        {"domain": 5, "r": 2, "b": 0, "anchors": []},
+    ], ids=["no-domain", "domain-not-an-object"])
+    def test_domain_error_names_a_hard_instance(self, doc):
+        msg = f"hard instance domain must be a JSON object, got {doc.get('domain')!r}"
+        with pytest.raises(InvalidParam, match=f"^{re.escape(msg)}$"):
             hard_instance_from_json(doc)
 
     def test_rejects_explicit_domain(self):

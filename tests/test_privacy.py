@@ -123,15 +123,15 @@ class TestBinarySearchMechanism:
 
     def test_range_clamped_to_diameter(self):
         g = Hypercube(8)
-        f = TableFunction(g, {x: 0 for x in g.vertices()}, 2)
-        mech = BinarySearchMechanism(g, f, 1, seed_of(0), r_opt=10**6)
+        f = TableFunction(g, {x: 0 for x in g.vertices()}, 10**6)
+        mech = BinarySearchMechanism(g, f, 1, seed_of(0))
         assert mech.r == 16  # n * d = 2 * 8
         assert list(mech._probes()) == [2, 3, 4]
 
     def test_alpha_frozen(self):
         g = Hypercube(8)
-        f = TableFunction(g, {x: 0 for x in g.vertices()}, 2)
-        mech = BinarySearchMechanism(g, f, 1, seed_of(0), r_opt=16)
+        f = TableFunction(g, {x: 0 for x in g.vertices()}, 16)
+        mech = BinarySearchMechanism(g, f, 1, seed_of(0))
         assert mech.kappa == 4
         assert float(mech.alpha) == pytest.approx(4 * math.log2(800))
         assert float(mech.noise_scale) == pytest.approx(4.0)

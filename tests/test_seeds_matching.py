@@ -88,35 +88,16 @@ class TestMatchingLCA:
         rng = random.Random(2)
         g = random_connected_graph(rng, 12, extra=6)
         seed = seed_of(42)
-        baseline = self.lca(g, seed).transcript(g.vertices())
+
+        def partners(order):
+            lca = self.lca(g, seed)
+            return {x: lca.match_of(x) for x in order}
+
+        baseline = partners(g.vertices())
         for _ in range(5):
             order = list(g.vertices())
             rng.shuffle(order)
-            fresh = self.lca(g, seed)
-            got = {g.canon(x): None for x in g.vertices()}
-            for x in order:
-                m = fresh.match_of(x)
-                got[g.canon(x)] = None if m is None else g.canon(m)
-            assert got == baseline
-
-    def test_edge_matched_consistent_with_match_of(self):
-        rng = random.Random(3)
-        g = random_connected_graph(rng, 9, extra=4)
-        lca = self.lca(g, seed_of(9))
-        for u, v in g.edges():
-            expect = lca.match_of(u) == v
-            assert lca.edge_matched(u, v) == expect
-
-    def test_edge_matched_false_on_non_edges(self):
-        rng = random.Random(8)
-        for trial in range(5):
-            g = random_connected_graph(rng, 12, extra=6)
-            lca = self.lca(g, seed_of(200 + trial))
-            edges = set(g.edges())
-            for u in g.vertices():
-                for v in g.vertices():
-                    if u != v and (min(u, v), max(u, v)) not in edges:
-                        assert lca.edge_matched(u, v) is False
+            assert partners(order) == baseline
 
     def test_budget(self):
         rng = random.Random(4)
@@ -179,8 +160,6 @@ class TestMatchingLCA:
         lca = MatchingLCA(nbrs, seed_of(10), encode=g.canon)
         for x in g.vertices():
             lca.match_of(x)
-        for u, v in g.edges():
-            lca.edge_matched(u, v)
         assert sorted(calls) == sorted(set(calls))
         assert set(calls) == set(g.vertices())
 

@@ -11,7 +11,7 @@ from lipfilter import (
     InvalidParam,
     PartialFunction,
     TableFunction,
-    eps_of_interval,
+    exact_l0_distance,
     make_params,
     tolerant_test,
     tolerant_test_once,
@@ -86,7 +86,7 @@ class TestDichotomySmallScale:
     def test_certified_distance_of_reject_instance(self):
         # parity * 2 is exactly 1/2-far inside any window covering [0, 2]
         g, f = scaled_parity(4)
-        got = eps_of_interval(g, f, Interval(Fraction(0), Fraction(2)))
+        got = exact_l0_distance(g, f.restrict(Interval(Fraction(0), Fraction(2))))
         assert got == Fraction(1, 2)
         assert got >= Fraction(201, 100) * Fraction(1, 10)
 
