@@ -62,28 +62,28 @@ class LocalFilterL0:
     """Per-query access to the corrected function for one (f, seed) pair.
 
     Matched vertices (under the seeded greedy matching of the 0-violation
-    graph) are re-extended from the unmatched values nearer than r: g(x) =
-    max(lo, f(y) - d(x, y)) over the unmatched, defined y with d(x, y) < r;
-    everything else passes through.  The open ball loses nothing, since a
-    y at distance >= r scores at most hi - r = lo.  ``value`` walks it in
-    (distance, vertex) order with a running best, asks the matching only
-    about a y with f(y) - d > best, and stops at the first y with hi - d
-    <= best, which is exact because values stay in [lo, hi].  Caches
+    graph) are re-extended from the unmatched values: g(x) = max(lo, f(y) -
+    d(x, y)) over the unmatched, defined y, where lo = f.lo is the floor.
+    Every defined value lies in f.bounds = [blo, bhi] (inside [lo, hi]),
+    so a y at d(x, y) >= bhi - lo scores at most lo, and only the open
+    ball of that radius is walked; everything else passes through.
+    ``value`` walks it in (distance, vertex) order with a running best,
+    asks the matching only about a y with f(y) - d > best, and stops at
+    the first y with bhi - d <= best.  Scans take f.bounds too.  Caches
     inside a session are logically transparent: answers equal a fresh
     computation for every query order.  The session memo is a dict of f's
     values that reads f on a miss, so f is read once per distinct vertex;
     scans read it through its ``__getitem__``, which makes a hit one dict
-    access.  The range [lo, lo + r] is the oracle's; wrap it with ``clip``
-    for another one.
+    access.  The floor and the bounds are the oracle's; wrap it with
+    ``clip`` for others.
     """
 
     def __init__(self, graph, f, seed: Seed, *,
                  scan_budget=DEFAULT_SCAN_BUDGET, match_budget=DEFAULT_EDGE_BUDGET):
         self.graph = graph
         self.f = f
-        self.r = f.r
         self.lo = f.lo
-        self.hi = f.hi
+        self.bounds = f.bounds
         self.scan_budget = scan_budget
         self._values = ValueMemo(f)
         self._matcher = MatchingLCA(
@@ -93,8 +93,8 @@ class LocalFilterL0:
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
         return list(scan_scored_neighbors(
-            self.graph, self._values.__getitem__, v, tau=0, lo=self.lo,
-            hi=self.hi, budget=self.scan_budget))
+            self.graph, self._values.__getitem__, v, tau=0,
+            bounds=self.bounds, budget=self.scan_budget))
 
     def read_table(self):
         """Read f at every vertex into the session memo, so that no query
@@ -112,16 +112,17 @@ class LocalFilterL0:
         fx = values[x]
         if self.match_of(x) is None:
             return fx
-        # The open ball is exact: a y at d >= r scores at most hi - r = lo.
-        # The stop is exact: the ball is sorted by d and f(y) <= hi, so once
-        # d >= hi - best no later y beats best.  With best = bn/bd and f(y)
-        # = c/e, f(y) - d > best is decided in ints, and only such a y is
-        # asked whether it is matched.
-        hi = self.hi
+        # The open ball is exact: f(y) <= hi = bounds.hi, so a y at d >= hi
+        # - lo scores at most lo.  The stop is exact: the ball is sorted by d,
+        # so once d >= hi - best no later y beats best.  With best = bn/bd
+        # and f(y) = c/e, f(y) - d > best is decided in ints, and only such
+        # a y is asked whether it is matched.
+        hi = self.bounds.hi
         best = self.lo
         bn, bd = best.numerator, best.denominator
         stop = math.ceil(hi - best)
-        for y, d in self.graph.ball(x, self.r, open_=True, budget=self.scan_budget):
+        for y, d in self.graph.ball(x, hi - self.lo, open_=True,
+                                    budget=self.scan_budget):
             if d >= stop:
                 break
             fy = values[y]

@@ -98,7 +98,7 @@ class LocalFilterL1:
         self.f = f
         self.seed = seed
         self.schedule = make_schedule(f.r, slack)
-        self.lo, self.hi = f.lo, f.hi
+        self.bounds = f.bounds
         self.scan_budget = scan_budget
         self.match_budget = match_budget
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
@@ -138,7 +138,7 @@ class LocalFilterL1:
                     return []
                 return list(scan_scored_neighbors(
                     self.graph, lambda y: self._value(y, t - 1), v, tau=tau,
-                    lo=self.lo, hi=self.hi, budget=self.scan_budget))
+                    bounds=self.bounds, budget=self.scan_budget))
 
             m = MatchingLCA(
                 adjacent,
@@ -190,7 +190,7 @@ class LocalFilterL1:
 
         def scan(v, table):
             return scan_scored_neighbors(
-                self.graph, table.get, v, tau=final, lo=self.lo, hi=self.hi,
+                self.graph, table.get, v, tau=final, bounds=self.bounds,
                 budget=self.scan_budget)
 
         for s in range(self._done + 1, t + 1):
@@ -233,7 +233,6 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
     the list [g_1, ..., g_T].
     """
     schedule = make_schedule(f.r, slack)
-    lo, hi = f.lo, f.hi
     current = {}
     for x in graph.vertices():
         v = f.lookup(x)
@@ -244,7 +243,8 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
     for t in range(2, schedule.rounds + 1):
         delta = schedule.delta(t)
         edges = [(x, y) for x, y, _ in _violated_pairs(
-            graph, current.get, tau=schedule.tau(t), lo=lo, hi=hi, budget=scan_budget)]
+            graph, current.get, tau=schedule.tau(t), bounds=f.bounds,
+            budget=scan_budget)]
         partner = greedy_maximal_matching(
             edges, seed.derive("iter", t), encode=graph.canon
         )

@@ -75,9 +75,11 @@ class FunctionOracle:
     interval-restricted views.  ``lookup`` checks the vertex, reads the
     value with ``_read``, and raises RangeViolation for a value outside
     [lo, hi] if the class sets ``checks_range``; classes whose values are
-    in range by construction clear it.  Violation scans trust that every
-    defined value ``lookup`` returns lies in [lo, hi]: each scan walks only
-    as far as a partner of its centre can sit, which that interval bounds.
+    in range by construction clear it.  ``bounds`` is the interval, inside
+    [lo, hi], that every defined value ``lookup`` returns lies in: [lo, hi]
+    itself except for a restriction, whose values also keep to its base's
+    bounds.  Violation scans trust it: each scan walks only as far as a
+    partner of its centre can sit, which that interval bounds.
     """
 
     checks_range = True
@@ -87,6 +89,7 @@ class FunctionOracle:
         self.lo = parse_rational(lo)
         if self.r < 0:
             raise RangeViolation(f"range diameter must be nonnegative, got {self.r}")
+        self.bounds = Interval(self.lo, self.lo + self.r)
         self.graph = graph
         self._lookups = 0
         self._lock = threading.Lock()
@@ -228,7 +231,13 @@ class ClippedFunction(FunctionOracle):
 
 
 class RestrictedFunction(FunctionOracle):
-    """The interval restriction f_I: f where f lands in I, else undefined."""
+    """The interval restriction f_I: f where f lands in I, else undefined.
+
+    The claimed range is I, but ``bounds`` is I ∩ base.bounds, and a base
+    value outside it reads as undefined, so the restriction keeps to the
+    interval it reports.  A window disjoint from the base's bounds leaves
+    every value undefined, and its bounds are then the point I.lo.
+    """
 
     checks_range = False
 
@@ -236,10 +245,16 @@ class RestrictedFunction(FunctionOracle):
         super().__init__(base.graph, interval.width, lo=interval.lo)
         self.base = base
         self.interval = interval
+        lo = max(interval.lo, base.bounds.lo)
+        hi = min(interval.hi, base.bounds.hi)
+        self._empty = lo > hi
+        if self._empty:
+            lo = hi = interval.lo
+        self.bounds = Interval(lo, hi)
 
     def _value(self, x):
         v = self.base._read(x)
-        if v is None or not self.interval.contains(v):
+        if v is None or self._empty or not self.bounds.contains(v):
             return None
         return v
 

@@ -5,7 +5,8 @@ A pair (x, y) is tau-violated when |f(x) - f(y)| - dist(x, y) > tau.
 Pairs with an undefined endpoint or infinite distance are never violated.
 ``scan_scored_neighbors`` is the one routine that decides which partners
 of x are tau-violated and how far to look for them: it takes tau and the
-interval [lo, hi] that every defined value lies in.  A partner needs
+interval ``bounds`` = [lo, hi] that every defined value lies in (an
+oracle's ``bounds``, not its claimed range).  A partner needs
 dist(x, y) < |f(x) - f(y)| - tau <= max(hi - f(x), f(x) - lo) - tau, so
 the scan walks the ball of radius ceil(max(hi - f(x), f(x) - lo) - tau)
 - 1 and nothing farther: a centre whose value sits mid-range, or a large
@@ -34,15 +35,16 @@ def violation_score(graph, f, x, y) -> Fraction:
     return max(Fraction(0), abs(fx - fy) - d)
 
 
-def scan_scored_neighbors(graph, lookup, x, *, tau, lo, hi,
+def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
                           budget=DEFAULT_SCAN_BUDGET):
     """{y: score} for every y whose violation score against x exceeds
     ``tau`` (>= 0), in ball order, with every score a Fraction.
 
     ``lookup`` is any callable vertex -> Fraction | None whose defined
-    values all lie in [lo, hi]; the scan trusts that and does not check
-    it.  No such y sits farther than ceil(max(hi - f(x), f(x) - lo) - tau)
-    - 1, so that is the ball walked, and ``budget`` applies to it.
+    values all lie in the Interval ``bounds`` = [lo, hi]; the scan trusts
+    that and does not check it.  No such y sits farther than
+    ceil(max(hi - f(x), f(x) - lo) - tau) - 1, so that is the ball walked,
+    and ``budget`` applies to it.
     """
     fx = lookup(x)
     if fx is None:
@@ -54,8 +56,8 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, lo, hi,
     # than the arithmetic.
     a, b = fx.numerator, fx.denominator
     u, v = tau.numerator, tau.denominator
-    p, q = hi.numerator, hi.denominator
-    s, t = lo.numerator, lo.denominator
+    p, q = bounds.hi.numerator, bounds.hi.denominator
+    s, t = bounds.lo.numerator, bounds.lo.denominator
     av, ub, B = a * v, u * b, b * v
     up = ((av + ub) * q - p * B) // (B * q)    # -ceil(hi - fx - tau)
     down = (s * B - (av - ub) * t) // (B * t)  # -ceil(fx - tau - lo)
@@ -77,12 +79,12 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, lo, hi,
     return out
 
 
-def _violated_pairs(graph, lookup, *, tau, lo, hi, budget=DEFAULT_SCAN_BUDGET):
+def _violated_pairs(graph, lookup, *, tau, bounds, budget=DEFAULT_SCAN_BUDGET):
     """Every tau-violated pair, once each, as (low, high, score).
-    ``lookup``'s defined values lie in [lo, hi]."""
+    ``lookup``'s defined values lie in ``bounds``."""
     for x in graph.vertices():
         for y, score in scan_scored_neighbors(
-            graph, lookup, x, tau=tau, lo=lo, hi=hi, budget=budget
+            graph, lookup, x, tau=tau, bounds=bounds, budget=budget
         ).items():
             if x < y:
                 yield x, y, score
@@ -98,7 +100,7 @@ def _pairs_above(scans, tau):
 def _all_violated_pairs(graph, f, budget):
     """_violated_pairs of f at tau = 0, reading f once per vertex."""
     values = {x: f.lookup(x) for x in graph.vertices()}
-    return _violated_pairs(graph, values.get, tau=0, lo=f.lo, hi=f.hi,
+    return _violated_pairs(graph, values.get, tau=0, bounds=f.bounds,
                            budget=budget)
 
 

@@ -292,12 +292,15 @@ def test_c09_tester_dichotomy_full_scale():
                f"scan budget exhausted: {exc}")
         pytest.xfail(
             "criterion not attainable as stated: the value window has "
-            "half-width t = 2*sqrt(d*log2(d/eps)) ~ 29.9, so the restricted "
-            "range diameter 2t exceeds the cube diameter 32 and every "
-            "violation scan must visit all 2^32 vertices; the default "
-            "200000-vertex scan budget aborts the first query. The "
-            "dichotomy itself is verified at feasible scale in "
-            "test_tester.py and the estimator below runs at full m.")
+            "half-width t = 2*sqrt(d*log2(d/eps)) ~ 29.9, and the l0 "
+            "extension's floor is the window's low end, about 29.9 below "
+            "the parity values [0, 2], so a matched query must walk the "
+            "open ball of radius bounds.hi - lo ~ 31.9 around it, nearly "
+            "all 2^32 vertices (the violation scans, which trust the "
+            "bounds [0, 2], walk radius 1); the default 200000-vertex "
+            "scan budget aborts the first matched query. The dichotomy "
+            "itself is verified at feasible scale in test_tester.py and "
+            "the estimator below runs at full m.")
     pytest.fail("expected the d=32 run to exhaust its scan budget")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from lipfilter import (
     ExplicitGraph,
+    ExprFunction,
     Hypercube,
     Hypergrid,
     Interval,
@@ -243,6 +245,49 @@ class TestExtension:
         assert got == best == brute_force_value(filt, g, f, x)
         ball = [y for y in g.vertices() if g.dist(x, y) <= f.r]
         assert len(asked) < len(ball) // 4
+
+
+class TestReachAndFloor:
+    """A restriction to a window wider than f's range: the scans reach only
+    as far as f.bounds lets a partner sit, while the extension's floor
+    stays the window's low end, below every value."""
+
+    def instances(self):
+        cube = Hypercube(6)
+        parity = ExprFunction(cube, "2*(sum() - 2*floor(1/2*sum()))", 2)
+        yield cube, parity.restrict(Interval.of(-5, 7))
+        grid = Hypergrid(4, 2)
+        base = rational_table(grid, random.Random(13), 3)
+        yield grid, base.restrict(Interval.of(Fraction(-7, 2), 9))
+
+    def test_local_equals_global_and_scans_reach_bounds(self):
+        for i, (g, f) in enumerate(self.instances()):
+            assert f.lo < f.bounds.lo and f.bounds.hi < f.hi
+            walked = []
+            ball = g.ball
+
+            def recording(x, radius, open_=False, **kw):
+                out = ball(x, radius, open_=open_, **kw)
+                walked.append((radius, open_))
+                return out
+
+            g.ball = recording
+            try:
+                filt = LocalFilterL0(g, f, seed_of(200 + i))
+                got = filt.table()
+            finally:
+                del g.ball
+            assert got == global_filter_l0(g, f, filt.matched_set())
+            assert len(filt.matched_set()) > 4
+            # answers below bounds.lo: a floor at bounds.lo would differ
+            assert min(v for v in got.values() if v is not None) < f.bounds.lo
+            # scans walk ceil(max(hi - f(x), f(x) - lo)) - 1 with [lo, hi]
+            # the bounds: radius 1 on parity, whose bounds are [0, 2]
+            reach = math.ceil(f.bounds.width) - 1
+            scans = [radius for radius, open_ in walked if not open_]
+            assert scans and max(scans) <= reach
+            if i == 0:
+                assert set(scans) == {1}
 
 
 class TestAnchorCost:

@@ -313,7 +313,7 @@ class TestGlobalRounds:
                 (key, g.canon(x), g.canon(y))
                 for x, y, _ in _violated_pairs(
                     g, trace[t - 2].get, tau=filt.schedule.tau(t),
-                    lo=f.lo, hi=f.hi)
+                    bounds=f.bounds)
             ]
         ranked = []
 

@@ -216,6 +216,7 @@ def _oracles():
         "clip": wild.clip(0, 3),
         "clip shifted": wild.clip(2, "9/2"),
         "restrict": wild.restrict(Interval.of(1, 6)),
+        "restrict wider than base": wild.restrict(Interval.of(-5, 9)),
         "restrict of clip": wild.clip(0, 8).restrict(Interval.of(-1, 2)),
         "clip of restrict": wild.restrict(Interval.of(-2, 5)).clip(1, 4),
     }
@@ -224,8 +225,10 @@ def _oracles():
 
 @pytest.mark.parametrize("f", _oracles())
 def test_lookup_values_lie_in_lo_hi(f):
-    """Violation scans trust that every defined value lies in [lo, hi]:
-    ``lookup`` returns such a value, None, or raises RangeViolation."""
+    """Violation scans trust that every defined value lies in ``bounds``,
+    which lies in [lo, hi]: ``lookup`` returns such a value, None, or
+    raises RangeViolation."""
+    assert f.lo <= f.bounds.lo <= f.bounds.hi <= f.hi
     defined = 0
     for x in f.graph.vertices():
         try:
@@ -234,9 +237,24 @@ def test_lookup_values_lie_in_lo_hi(f):
             assert f.checks_range, x
             continue
         if v is not None:
-            assert type(v) is Fraction and f.lo <= v <= f.hi, (x, v)
+            assert type(v) is Fraction and f.bounds.contains(v), (x, v)
             defined += 1
     assert defined
+
+
+@pytest.mark.parametrize("window", [(5, 9), (-9, -1)], ids=["above", "below"])
+def test_window_disjoint_from_base_range_is_all_undefined(window):
+    """The base claims [0, 3] but takes values in both windows; a
+    restriction keeps to the base's range, so none is defined, and the l0
+    filter answers ? everywhere."""
+    g = Hypergrid(4, 2)
+    wild = ExprFunction(g, "x1 * x2 - 3", 3)
+    f = wild.restrict(Interval.of(*window))
+    assert f.lo <= f.bounds.lo <= f.bounds.hi <= f.hi
+    assert any(Interval.of(*window).contains(wild._value(x)) for x in g.vertices())
+    assert all(f.lookup(x) is None for x in g.vertices())
+    filt = LocalFilterL0(g, f, Seed(b"\x03" * 32))
+    assert all(filt.value(x) is None for x in g.vertices())
 
 
 class TestJson:

@@ -13,6 +13,7 @@ from lipfilter import (
     ExprFunction,
     Hypercube,
     Hypergrid,
+    Interval,
     TableFunction,
     make_schedule,
     max_violation_score,
@@ -59,7 +60,7 @@ class TestScan:
     def test_positive_only(self):
         g = Hypergrid(5, 1)
         f = TableFunction(g, {(i,): 0 for i in range(1, 6)} | {(3,): 4}, 4)
-        got = scan_scored_neighbors(g, f.lookup, (3,), tau=0, lo=f.lo, hi=f.hi)
+        got = scan_scored_neighbors(g, f.lookup, (3,), tau=0, bounds=f.bounds)
         assert got == {(1,): 2, (2,): 3, (4,): 3, (5,): 2}
 
     def test_radius_truncation(self):
@@ -68,21 +69,21 @@ class TestScan:
         values[(1,)] = 4
         f = TableFunction(g, values, 4)
         # radius ceil(4 - tau) - 1 reaches (4,) at tau = 0 and (3,) at tau = 1
-        got = scan_scored_neighbors(g, f.lookup, (1,), tau=0, lo=f.lo, hi=f.hi)
+        got = scan_scored_neighbors(g, f.lookup, (1,), tau=0, bounds=f.bounds)
         assert got == {(2,): 3, (3,): 2, (4,): 1}
-        assert scan_scored_neighbors(g, f.lookup, (1,), tau=1, lo=f.lo,
-                                     hi=f.hi) == {(2,): 3, (3,): 2}
+        assert scan_scored_neighbors(g, f.lookup, (1,), tau=1,
+                                     bounds=f.bounds) == {(2,): 3, (3,): 2}
 
     def test_undefined_center(self):
         g, f = path3(["?", 3, 0])
-        assert scan_scored_neighbors(g, f.lookup, 0, tau=0, lo=f.lo, hi=f.hi) == {}
+        assert scan_scored_neighbors(g, f.lookup, 0, tau=0, bounds=f.bounds) == {}
 
     def test_budget(self):
         g = Hypergrid(4, 4)
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 4)
         with pytest.raises(BudgetExceeded, match=r"ball\(1111, 3\)"):
             scan_scored_neighbors(g, f.lookup, (1, 1, 1, 1), tau=0,
-                                  lo=f.lo, hi=f.hi, budget=3)
+                                  bounds=f.bounds, budget=3)
 
 
 CUBE4 = Hypercube(4)
@@ -91,6 +92,7 @@ _value = st.one_of(
     st.integers(0, 4),
     st.builds(Fraction, st.integers(0, 48), st.integers(1, 12)),
 )
+WIDE = Interval.of(0, 48)  # every _value lies in it
 # tau = 0 (the l0 filter), every round threshold of the r = 2 and r = 3
 # schedules (the l1 filter), and any fraction in [0, 4)
 SCHEDULE_TAUS = sorted({
@@ -131,7 +133,7 @@ class TestScanProperty:
     def test_equals_brute_force(self, table, tau):
         values = dict(zip(CUBE4.vertices(), table))
         for x in CUBE4.vertices():
-            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, lo=0, hi=48)
+            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, bounds=WIDE)
             assert got == brute_force_scores(values, x, tau)
             assert all(type(s) is Fraction for s in got.values())
 
@@ -139,14 +141,14 @@ class TestScanProperty:
     @given(st.lists(_value, min_size=16, max_size=16), _tau)
     def test_pairs_equal_brute_force(self, table, tau):
         values = dict(zip(CUBE4.vertices(), table))
-        got = list(_violated_pairs(CUBE4, values.get, tau=tau, lo=0, hi=48))
+        got = list(_violated_pairs(CUBE4, values.get, tau=tau, bounds=WIDE))
         assert len(got) == len(set(got))
         assert set(got) == brute_force_pairs(values, tau)
 
 
 def tau_violated(g, f, tau, x):
     """The l1 matcher's rule: the partners scoring above tau."""
-    return list(scan_scored_neighbors(g, f.lookup, x, tau=tau, lo=f.lo, hi=f.hi))
+    return list(scan_scored_neighbors(g, f.lookup, x, tau=tau, bounds=f.bounds))
 
 
 def recording_ball(monkeypatch, g):
@@ -247,11 +249,11 @@ class TestScanCap:
     def test_any_enclosing_interval_equals_brute_force(self, table, tau, below, above):
         values = dict(zip(CUBE4.vertices(), table))
         defined = [v for v in table if v is not None] or [Fraction(0)]
-        lo, hi = min(defined) - below, max(defined) + above
+        bounds = Interval(min(defined) - below, max(defined) + above)
         for x in CUBE4.vertices():
-            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, lo=lo, hi=hi)
+            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, bounds=bounds)
             assert got == brute_force_scores(values, x, tau)
-        pairs = list(_violated_pairs(CUBE4, values.get, tau=tau, lo=lo, hi=hi))
+        pairs = list(_violated_pairs(CUBE4, values.get, tau=tau, bounds=bounds))
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == brute_force_pairs(values, tau)
 
@@ -269,7 +271,8 @@ class TestScanCap:
                 return Hypercube.ball(CUBE4, centre, radius, **kw)
 
             graph = SimpleNamespace(ball=ball)
-            scan_scored_neighbors(graph, values.get, x, tau=tau, lo=lo, hi=hi)
+            scan_scored_neighbors(graph, values.get, x, tau=tau,
+                                  bounds=Interval(lo, hi))
             fx = values[x]
             want = [] if fx is None else [math.ceil(max(hi - fx, fx - lo) - tau) - 1]
             assert radii == want
@@ -281,7 +284,7 @@ class TestScanCap:
         g = self.CUBE8
         f = ExprFunction(g, "sum()", 8)
         walked = recording_ball(monkeypatch, g)
-        scan_scored_neighbors(g, f.lookup, self.MID, tau=tau, lo=f.lo, hi=f.hi)
+        scan_scored_neighbors(g, f.lookup, self.MID, tau=tau, bounds=f.bounds)
         return walked
 
     def test_mid_range_centre_walks_radius_3(self, monkeypatch):
@@ -297,8 +300,8 @@ class TestScanCap:
         f = ExprFunction(g, "sum()", 8)
         for tau, radius, size in [(0, 3, 93), (Fraction(3, 2), 2, 37)]:
             assert scan_scored_neighbors(g, f.lookup, self.MID, tau=tau,
-                                         lo=f.lo, hi=f.hi, budget=size) == {}
+                                         bounds=f.bounds, budget=size) == {}
             with pytest.raises(BudgetExceeded,
                                match=rf"ball\(11110000, {radius}\)"):
                 scan_scored_neighbors(g, f.lookup, self.MID, tau=tau,
-                                      lo=f.lo, hi=f.hi, budget=size - 1)
+                                      bounds=f.bounds, budget=size - 1)
