@@ -52,8 +52,7 @@ x = tuple(rng.randrange(2) for _ in range(12))
 exact = bs.answer(x)
 print(f"  query {x}")
 print(f"  f(x) = {g.lookup(x)}")
-print(f"  noise-free: value={exact.value} after {exact.iterations} probe(s), "
-      f"{exact.lookups} lookups")
+print(f"  noise-free: value={exact.value} after {exact.iterations} probe(s)")
 noisy = bs.answer(x, NoiseSource(Seed.from_int(23)))
 print(f"  noisy:      value={float(noisy.value):+.3f} "
       f"after {noisy.iterations} probe(s)")

@@ -12,8 +12,10 @@ Subcommands:
 All output is JSON on stdout with sorted keys.  Exit codes: 0 success
 (or tester accept), 1 tester reject / Lipschitz check failure, 2 errors.
 
-``lookups`` fields count the distinct vertices each filter session read
-(its memo's misses), not the filter's lookup calls.
+The ``lookups`` fields of ``filter`` and ``bench`` count the distinct
+vertices each filter session read (its memo's misses), not the filter's
+lookup calls.  ``mechanism`` prints the released answer only: its value,
+and with ``--binary-search`` its probe count ``iterations``.
 """
 from __future__ import annotations
 
@@ -188,14 +190,13 @@ def _cmd_mechanism(args, parser):
         out.update({
             "value": _fmt(res.value),
             "iterations": res.iterations,
-            "lookups": res.lookups,
         })
     else:
         mech = FilterMechanism(
             graph, f, eps, seed,
             scan_budget=args.scan_budget, match_budget=args.match_budget)
         value = mech.answer(x, noise)
-        out.update({"value": _fmt(value), "lookups": f.lookups})
+        out["value"] = _fmt(value)
     _emit(out)
     return 0
 

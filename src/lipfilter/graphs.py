@@ -85,7 +85,7 @@ class _BallMixin:
         out = self._ball(x, limit, budget)
         if out is None:
             raise BudgetExceeded(
-                f"ball({self.canon(x)}, {radius}) exceeded vertex budget {budget}")
+                f"ball({self.canon(x)}, {limit}) exceeded vertex budget {budget}")
         return out
 
     def _ball(self, x, limit: int, budget: int | None):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InvalidParam
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
-from .functions import Interval, parse_rational
+from .functions import parse_rational
 from .graphs import Hypergrid
 from .matching import DEFAULT_EDGE_BUDGET
 from .seeds import Seed
@@ -55,16 +55,17 @@ class NoiseSource:
 class MechanismResult:
     value: object
     iterations: int
-    lookups: int
 
 
 class FilterMechanism:
     """Per-query eps-DP release of a 1-Lipschitz-corrected value.
 
     The client's function is clamped into [lo, lo+r] before filtering, so
-    out-of-range submissions cannot widen the sensitivity.  The values an
-    answer reads, and so ``f.lookups``, depend on f near x: each scan walks
-    only as far as f(x)'s distance to the ends of [lo, lo+r] lets a partner sit.
+    out-of-range submissions cannot widen the sensitivity.  An answer
+    releases its noised value and nothing else.  The values it reads, and
+    so ``f.lookups``, and the time it takes depend on f near x: each scan
+    walks only as far as f(x)'s distance to the ends of [lo, lo+r] lets a
+    partner sit.  They are outside eps and for the operator only.
     """
 
     def __init__(self, graph, f, eps, seed: Seed, *,
@@ -95,9 +96,13 @@ class BinarySearchMechanism:
     [t - a, t + a] is released immediately; otherwise the center t moves
     by ceil(r / 2^i) toward the reading and the search continues.  Filter
     sessions are cached per (probe, center) so repeated trials share
-    their scans.  On a grid no wider than the window, a session reads
-    the whole table when it opens, so the ``lookups`` of an answer do not
-    depend on f(x).
+    their scans.  An answer releases its noised value and its probe
+    count, a function of the noised readings.  On a grid no wider than
+    the window, a session reads the whole table when it opens, so the
+    values an answer reads, and so ``f.lookups``, do not depend on f(x);
+    elsewhere they do, and the time an answer takes depends on f near x
+    everywhere.  Work counts and timing are outside eps and for the
+    operator only.
     """
 
     def __init__(self, graph, f, eps, seed: Seed, *,
@@ -137,23 +142,20 @@ class BinarySearchMechanism:
         sess = self._sessions.get(key)
         if sess is None:
             lo = self.f.lo
-            window = Interval(
-                max(lo, lo + t - 2 * self.alpha),
-                min(lo + self.r, lo + t + 2 * self.alpha),
-            )
-            f_i = self.f.clip(window.lo, window.hi)
+            f_i = self.f.clip(max(lo, lo + t - 2 * self.alpha),
+                              min(lo + self.r, lo + t + 2 * self.alpha))
             sess = LocalFilterL0(
                 self.graph, f_i, self.seed.derive("search", i),
                 scan_budget=self._scan_budget,
                 match_budget=self._match_budget)
             # A scan walks only as far as f(x)'s distance to the window's
-            # ends allows, so the values a first answer reads would tell
-            # where f(x) sits, and ``lookups`` is released with the answer.
-            # When the window is as wide as the grid's diameter, the table
-            # costs at most a few reads more than one full-radius scan; if
-            # it also fits the scan budget, the session reads it when it
-            # opens, and an answer then reads n^d values for each session
-            # it opens and nothing else.
+            # ends allows, so without this the values the first answers
+            # read would depend on where x and f(x) sit.  When the window
+            # is as wide as the grid's diameter, the table costs at most a
+            # few reads more than one full-radius scan; if it also fits the
+            # scan budget, the session reads it when it opens, and an
+            # answer then reads n^d values for each session it opens and
+            # nothing else.
             graph = self.graph
             if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
                     and graph.n_vertices <= self._scan_budget):
@@ -162,7 +164,6 @@ class BinarySearchMechanism:
         return sess
 
     def answer(self, x, noise: NoiseSource | None = None) -> MechanismResult:
-        before = self.f.lookups
         t = self.r / 2
         count = 0
         reading = None
@@ -177,8 +178,4 @@ class BinarySearchMechanism:
                 t = min(self.r, t + step)
             else:
                 t = max(Fraction(0), t - step)
-        return MechanismResult(
-            value=self.f.lo + reading,
-            iterations=count,
-            lookups=self.f.lookups - before,
-        )
+        return MechanismResult(value=self.f.lo + reading, iterations=count)

@@ -162,6 +162,8 @@ class TestMechanism:
         assert code == 0
         assert out["value"] == "4"  # Lipschitz input passes through
         assert out["noise_seed"] is None
+        # the released answer and the run's inputs, no work counts
+        assert set(out) == {"noise_seed", "query", "seed", "value"}
 
     def test_binary_search_no_noise(self, capsys):
         code, out = run(capsys, [
@@ -172,6 +174,7 @@ class TestMechanism:
         assert code == 0
         assert out["value"] == "4"
         assert out["iterations"] >= 1
+        assert set(out) == {"iterations", "noise_seed", "query", "seed", "value"}
 
     @pytest.mark.parametrize("argv, value", [
         (["--domain", "cube:4", "--range", "2", "--query", "1111"], "2"),

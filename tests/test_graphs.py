@@ -222,6 +222,13 @@ class TestBall:
         with pytest.raises(BudgetExceeded, match=r"^ball\(01" + "0" * 30 + r", 59\) "):
             Hypercube(32).ball(x, 59, budget=10)
 
+    def test_budget_error_names_radius_walked(self):
+        # an open fractional radius walks ceil(radius) - 1; the message
+        # names that integer, not the fraction it came from
+        radius = Fraction(8988413359832905, 281474976710656)  # about 31.93
+        with pytest.raises(BudgetExceeded, match=r", 31\) "):
+            Hypercube(32).ball((0,) * 32, radius, open_=True, budget=10)
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hypercube_equals_bfs(self, d):
         g, ref = Hypercube(d), BfsHypercube(d)
