@@ -95,10 +95,21 @@ def _add_fn_args(p):
     p.add_argument("--seed", help="64 hex chars; random when omitted")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1, else a usage error naming the flag."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _budget_args(p):
-    p.add_argument("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
+    p.add_argument("--scan-budget", type=_positive_int, default=DEFAULT_SCAN_BUDGET,
                    help="ball vertices per violation scan")
-    p.add_argument("--match-budget", type=int, default=DEFAULT_EDGE_BUDGET,
+    p.add_argument("--match-budget", type=_positive_int, default=DEFAULT_EDGE_BUDGET,
                    help="matching edges explored per point query; l1 --all "
                         "matches each round globally, bounded by the scan "
                         "budget only")

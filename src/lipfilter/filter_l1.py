@@ -168,19 +168,23 @@ class LocalFilterL1:
 
         tau_s shrinks as s grows, so one scan per vertex at the final
         round's threshold holds every round's edges.  Round 2 makes those
-        scans against round 1.  Each round s matches the pairs scoring
-        above tau_s with the global greedy matching on the LCA's ranks,
-        moves each matched value by delta_s, and replaces the values
-        ``value`` memoized for round s, which equal the new table by
-        construction.  Before the next round it updates the scans in
-        place: each moved value c leaves the scans of its old partners,
-        and one rescan of c against the new table writes every score
-        above the final threshold into both scans[c] and scans[y].  Scores
-        are symmetric and a scan holds every partner above its threshold,
-        so this gives the scans a fresh session would make.  The final
-        round drops the scans.  A final threshold with r - tau <= 1 leaves
-        every round without an edge and makes no scan.  A later call
-        resumes after the last round done.
+        scans against round 1, upward only: each vertex walks the ball a
+        partner of higher value can sit in, and writes each score into
+        both ends' scans, so every violated pair is scored once, from its
+        lower end, and a vertex at the top of the range walks nothing.
+        Each round s matches the pairs scoring above tau_s with the global
+        greedy matching on the LCA's ranks, moves each matched value by
+        delta_s, and replaces the values ``value`` memoized for round s,
+        which equal the new table by construction.  Before the next round
+        it updates the scans in place: each moved value c leaves the scans
+        of its old partners, and one rescan of c against the new table,
+        which looks both ways since c's partners may sit on either side,
+        writes every score above the final threshold into both scans[c]
+        and scans[y].  Scores are symmetric and a scan holds every partner
+        above its threshold, so this gives the scans a fresh session would
+        make.  The final round drops the scans.  A final threshold with
+        r - tau <= 1 leaves every round without an edge and makes no scan.
+        A later call resumes after the last round done.
         """
         t = self._round_arg(t)
         rounds = self.schedule.rounds
@@ -188,10 +192,10 @@ class LocalFilterL1:
         final = self.schedule.final_threshold
         scans = self._scans
 
-        def scan(v, table):
+        def scan(v, table, upward=False):
             return scan_scored_neighbors(
                 self.graph, table.get, v, tau=final, bounds=self.bounds,
-                budget=self.scan_budget)
+                budget=self.scan_budget, upward=upward)
 
         for s in range(self._done + 1, t + 1):
             if s == 1:
@@ -202,7 +206,10 @@ class LocalFilterL1:
             old = self._tables[s - 1]
             if s == 2 and self.schedule.r - final > 1:
                 for v in vertices:
-                    scans[v] = scan(v, old)
+                    scans[v] = {}
+                for v in vertices:
+                    for y, score in scan(v, old, upward=True).items():
+                        scans[v][y] = scans[y][v] = score
             partner = greedy_maximal_matching(
                 _pairs_above(scans, self.schedule.tau(s)),
                 self.seed.derive("iter", s), encode=self.graph.canon)

@@ -10,7 +10,11 @@ oracle's ``bounds``, not its claimed range).  A partner needs
 dist(x, y) < |f(x) - f(y)| - tau <= max(hi - f(x), f(x) - lo) - tau, so
 the scan walks the ball of radius ceil(max(hi - f(x), f(x) - lo) - tau)
 - 1 and nothing farther: a centre whose value sits mid-range, or a large
-tau, walks a small ball.
+tau, walks a small ball.  An upward scan finds each violated pair once,
+from its lower end: it keeps only the partners with f(y) > f(x), which sit
+within ceil(hi - f(x) - tau) - 1, so a centre at hi walks nothing.  The
+l1 table's first pass makes upward scans; every other caller, and the
+whole-graph references below, scan both ways.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ def violation_score(graph, f, x, y) -> Fraction:
 
 
 def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
-                          budget=DEFAULT_SCAN_BUDGET):
+                          budget=DEFAULT_SCAN_BUDGET, upward=False):
     """{y: score} for every y whose violation score against x exceeds
     ``tau`` (>= 0), in ball order, with every score a Fraction.
 
@@ -44,7 +48,9 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
     values all lie in the Interval ``bounds`` = [lo, hi]; the scan trusts
     that and does not check it.  No such y sits farther than
     ceil(max(hi - f(x), f(x) - lo) - tau) - 1, so that is the ball walked,
-    and ``budget`` applies to it.
+    and ``budget`` applies to it.  With ``upward=True`` only the y with
+    f(y) > f(x) are kept; none sits farther than ceil(hi - f(x) - tau) - 1,
+    so that smaller ball is walked, and ``budget`` applies to it instead.
     """
     fx = lookup(x)
     if fx is None:
@@ -60,8 +66,11 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
     s, t = bounds.lo.numerator, bounds.lo.denominator
     av, ub, B = a * v, u * b, b * v
     up = ((av + ub) * q - p * B) // (B * q)    # -ceil(hi - fx - tau)
-    down = (s * B - (av - ub) * t) // (B * t)  # -ceil(fx - tau - lo)
-    radius = -(up if up < down else down) - 1
+    if upward:
+        radius = -up - 1
+    else:
+        down = (s * B - (av - ub) * t) // (B * t)  # -ceil(fx - tau - lo)
+        radius = -(up if up < down else down) - 1
     # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): whether it
     # exceeds tau is decided in ints, a non-positive numerator is rejected
     # before tau is looked at, and only kept scores become Fractions.
@@ -76,12 +85,19 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
         num = abs(a * e - c * b) - d * b * e
         if num > 0 and num * v > ub * e:
             out[y] = Fraction(num, b * e)
+    if upward:
+        return {y: score for y, score in out.items() if lookup(y) > fx}
     return out
 
 
 def _violated_pairs(graph, lookup, *, tau, bounds, budget=DEFAULT_SCAN_BUDGET):
     """Every tau-violated pair, once each, as (low, high, score).
-    ``lookup``'s defined values lie in ``bounds``."""
+    ``lookup``'s defined values lie in ``bounds``.
+
+    It scans both ways and keeps a pair from its smaller vertex, not
+    upward scans from its lower value: ``global_filter_l1`` and the
+    whole-graph checks build on it, so it stays the independent reference
+    that the l1 table's one-sided first pass is checked against."""
     for x in graph.vertices():
         for y, score in scan_scored_neighbors(
             graph, lookup, x, tau=tau, bounds=bounds, budget=budget

@@ -256,6 +256,15 @@ class TestErrors:
             main(["filter", "--all"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--scan-budget", "--match-budget"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_budget_must_be_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["filter", "--mode", "l0", "--query", "000", "--expr", "sum()",
+                  "--domain", "cube:3", "--range", "3", flag, value])
+        assert info.value.code == 2
+        assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
     # malformed inputs exit 2 with an error line, never 1 (reject) with a
     # traceback; "NOVERTICES" stands for a graph JSON file without "vertices"
     MALFORMED = {

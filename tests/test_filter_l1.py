@@ -139,6 +139,17 @@ def carried_moves(filt, trace):
     )
 
 
+def clipped_cone(cube, rng, lo=Fraction(-1, 2), r=3, k=8):
+    """lo plus the distance from a random anchor, less 1, clipped to [0, r],
+    with k of the values at the top, lo + r, slammed to lo."""
+    anchor = tuple(rng.randrange(2) for _ in range(cube.d))
+    values = {x: lo + min(max(cube.dist(x, anchor) - 1, 0), r)
+              for x in cube.vertices()}
+    for x in rng.sample([x for x, v in values.items() if v == lo + r], k):
+        values[x] = lo
+    return TableFunction(cube, values, r, lo=lo)
+
+
 class TestScanCarry:
     """table() scans every vertex once, at the final round's threshold,
     and updates those scans in place after each round s < T: every value
@@ -160,7 +171,9 @@ class TestScanCarry:
 
     def graph_instances(self):
         """The cube instances, plus a grid and an explicit graph, whose balls
-        come from the breadth-first search."""
+        come from the breadth-first search, plus a cube whose values mostly
+        sit at the top of a range that starts below 0, where the upward
+        first-pass scans walk nothing."""
         for f, seed in self.instances():
             yield self.CUBE, f, seed
         grid = Hypergrid(4, 3)
@@ -168,6 +181,7 @@ class TestScanCarry:
         rng = random.Random(201)
         g = random_connected_graph(rng, 40, extra=20)
         yield g, random_table(g, rng, 3), seed_of(4)
+        yield self.CUBE, clipped_cone(self.CUBE, random.Random(202)), seed_of(5)
 
     def test_table_matches_global(self):
         for f, seed in self.instances():

@@ -242,7 +242,8 @@ _widen = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
 
 class TestScanCap:
-    """The scan walks ceil(max(hi - f(x), f(x) - lo) - tau) - 1."""
+    """The scan walks ceil(max(hi - f(x), f(x) - lo) - tau) - 1, and an
+    upward scan ceil(hi - f(x) - tau) - 1."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_in_range, min_size=16, max_size=16), _tau, _widen, _widen)
@@ -250,9 +251,18 @@ class TestScanCap:
         values = dict(zip(CUBE4.vertices(), table))
         defined = [v for v in table if v is not None] or [Fraction(0)]
         bounds = Interval(min(defined) - below, max(defined) + above)
+        upward_pairs = []
         for x in CUBE4.vertices():
+            want = brute_force_scores(values, x, tau)
             got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, bounds=bounds)
-            assert got == brute_force_scores(values, x, tau)
+            assert got == want
+            up = scan_scored_neighbors(CUBE4, values.get, x, tau=tau,
+                                       bounds=bounds, upward=True)
+            assert up == {y: s for y, s in want.items() if values[y] > values[x]}
+            upward_pairs += [(min(x, y), max(x, y), s) for y, s in up.items()]
+        # every violated pair is found once, from its lower end
+        assert len(upward_pairs) == len(set(upward_pairs))
+        assert set(upward_pairs) == brute_force_pairs(values, tau)
         pairs = list(_violated_pairs(CUBE4, values.get, tau=tau, bounds=bounds))
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == brute_force_pairs(values, tau)
@@ -271,10 +281,14 @@ class TestScanCap:
                 return Hypercube.ball(CUBE4, centre, radius, **kw)
 
             graph = SimpleNamespace(ball=ball)
-            scan_scored_neighbors(graph, values.get, x, tau=tau,
-                                  bounds=Interval(lo, hi))
+            for upward in (False, True):
+                scan_scored_neighbors(graph, values.get, x, tau=tau,
+                                      bounds=Interval(lo, hi), upward=upward)
             fx = values[x]
-            want = [] if fx is None else [math.ceil(max(hi - fx, fx - lo) - tau) - 1]
+            want = [] if fx is None else [
+                math.ceil(max(hi - fx, fx - lo) - tau) - 1,
+                math.ceil(hi - fx - tau) - 1,
+            ]
             assert radii == want
 
     CUBE8 = Hypercube(8)
