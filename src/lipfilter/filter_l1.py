@@ -232,7 +232,7 @@ class LocalFilterL1:
 
 
 def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
-                     trace=False, scan_budget=DEFAULT_SCAN_BUDGET):
+                     trace=False):
     """Reference implementation: materialize every round over the domain.
 
     Uses the global greedy matching on the same seeded ranks as the LCA,
@@ -250,8 +250,7 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
     for t in range(2, schedule.rounds + 1):
         delta = schedule.delta(t)
         edges = [(x, y) for x, y, _ in _violated_pairs(
-            graph, current.get, tau=schedule.tau(t), bounds=f.bounds,
-            budget=scan_budget)]
+            graph, current.get, tau=schedule.tau(t), bounds=f.bounds)]
         partner = greedy_maximal_matching(
             edges, seed.derive("iter", t), encode=graph.canon
         )

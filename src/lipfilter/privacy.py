@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParam
+from .errors import InvalidParam, PartialFunction
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
 from .functions import parse_rational
@@ -102,7 +102,8 @@ class BinarySearchMechanism:
     values an answer reads, and so ``f.lookups``, do not depend on f(x);
     elsewhere they do, and the time an answer takes depends on f near x
     everywhere.  Work counts and timing are outside eps and for the
-    operator only.
+    operator only.  An answer at a point where f(x) = ? raises
+    PartialFunction.
     """
 
     def __init__(self, graph, f, eps, seed: Seed, *,
@@ -169,7 +170,11 @@ class BinarySearchMechanism:
         reading = None
         for i in self._probes():
             count += 1
-            g = self._session(i, t).value(x) - self.f.lo
+            g = self._session(i, t).value(x)
+            if g is None:
+                raise PartialFunction(
+                    f"binary search needs a defined value; f({x!r}) = ?")
+            g -= self.f.lo
             reading = g if noise is None else g + noise.laplace(self.noise_scale)
             if t - self.alpha <= reading <= t + self.alpha:
                 break  # reading certified close; release it as is

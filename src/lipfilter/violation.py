@@ -72,8 +72,10 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
         down = (s * B - (av - ub) * t) // (B * t)  # -ceil(fx - tau - lo)
         radius = -(up if up < down else down) - 1
     # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): whether it
-    # exceeds tau is decided in ints, a non-positive numerator is rejected
-    # before tau is looked at, and only kept scores become Fractions.
+    # exceeds tau is decided in ints, an upward scan drops fy <= fx (c*b <=
+    # a*e) before the score is computed, a non-positive numerator is
+    # rejected before tau is looked at, and only kept scores become
+    # Fractions.
     out = {}
     for y, d in graph.ball(x, radius, budget=budget):
         if d == 0:
@@ -82,15 +84,15 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
         if fy is None:
             continue
         c, e = fy.numerator, fy.denominator
+        if upward and c * b <= a * e:
+            continue
         num = abs(a * e - c * b) - d * b * e
         if num > 0 and num * v > ub * e:
             out[y] = Fraction(num, b * e)
-    if upward:
-        return {y: score for y, score in out.items() if lookup(y) > fx}
     return out
 
 
-def _violated_pairs(graph, lookup, *, tau, bounds, budget=DEFAULT_SCAN_BUDGET):
+def _violated_pairs(graph, lookup, *, tau, bounds):
     """Every tau-violated pair, once each, as (low, high, score).
     ``lookup``'s defined values lie in ``bounds``.
 
@@ -100,7 +102,7 @@ def _violated_pairs(graph, lookup, *, tau, bounds, budget=DEFAULT_SCAN_BUDGET):
     that the l1 table's one-sided first pass is checked against."""
     for x in graph.vertices():
         for y, score in scan_scored_neighbors(
-            graph, lookup, x, tau=tau, bounds=bounds, budget=budget
+            graph, lookup, x, tau=tau, bounds=bounds
         ).items():
             if x < y:
                 yield x, y, score
@@ -113,21 +115,20 @@ def _pairs_above(scans, tau):
             for y, score in ys.items() if x < y and score > tau]
 
 
-def _all_violated_pairs(graph, f, budget):
+def _all_violated_pairs(graph, f):
     """_violated_pairs of f at tau = 0, reading f once per vertex."""
     values = {x: f.lookup(x) for x in graph.vertices()}
-    return _violated_pairs(graph, values.get, tau=0, bounds=f.bounds,
-                           budget=budget)
+    return _violated_pairs(graph, values.get, tau=0, bounds=f.bounds)
 
 
-def violation_edges(graph, f, *, budget=DEFAULT_SCAN_BUDGET):
+def violation_edges(graph, f):
     """Every 0-violated pair of f, each once as an ordered (low, high) edge."""
-    return sorted((x, y) for x, y, _ in _all_violated_pairs(graph, f, budget))
+    return sorted((x, y) for x, y, _ in _all_violated_pairs(graph, f))
 
 
-def max_violation_score(graph, f, *, budget=DEFAULT_SCAN_BUDGET) -> Fraction:
+def max_violation_score(graph, f) -> Fraction:
     """Largest violation score over all pairs (0 when f is 1-Lipschitz)."""
-    return max((s for _, _, s in _all_violated_pairs(graph, f, budget)),
+    return max((s for _, _, s in _all_violated_pairs(graph, f)),
                default=Fraction(0))
 
 

@@ -385,6 +385,19 @@ class TestErrors:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_binary_search_at_undefined_point_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({
+            "domain": {"kind": "hypercube", "d": 4}, "r": "4",
+            "values": {"0000": "?"}, "default": "2"}))
+        code = main(["mechanism", "--binary-search", "--function", str(path),
+                     "--eps", "1", "--query", "0000", "--no-noise"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "= ?" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 def readme_commands():
     """The ``lipfilter`` commands in README's "Command line" block, as

@@ -15,6 +15,7 @@ from lipfilter import (
     InvalidParam,
     MechanismResult,
     NoiseSource,
+    PartialFunction,
     TableFunction,
 )
 from helpers import lipschitz_table, seed_of
@@ -189,6 +190,15 @@ class TestBinarySearchMechanism:
             lookups.add((middle - before, f.lookups - middle))
         assert lookups == {(256, 0)}
 
+    def test_undefined_point_raises(self):
+        g = Hypercube(4)
+        f = TableFunction(g, {x: None if x == (0,) * 4 else 2
+                              for x in g.vertices()}, 4)
+        mech = BinarySearchMechanism(g, f, 1, seed_of(0))
+        with pytest.raises(PartialFunction, match=r"f\(\(0, 0, 0, 0\)\) = \?"):
+            mech.answer((0,) * 4)
+        assert mech.answer((0, 0, 0, 1)).value == 2
+
     def test_noisy_answers_near_truth(self):
         rng = random.Random(2)
         g = Hypercube(8)
@@ -208,7 +218,11 @@ class TestBinarySearchMechanism:
         g = Hypercube(6)
         f = lipschitz_table(g, rng, 6)
         mech = BinarySearchMechanism(g, f, 1, seed_of(5))
-        mech.answer((0,) * 6)
-        first = len(mech._sessions)
-        mech.answer((1,) * 6)
-        assert len(mech._sessions) >= first  # reuse, never rebuild per query
+        for x in [(0,) * 6, (1,) * 6]:
+            first = mech.answer(x)
+            sessions = dict(mech._sessions)
+            lookups = f.lookups
+            assert mech.answer(x) == first
+            # a repeat reuses every session and reads no value
+            assert mech._sessions == sessions
+            assert f.lookups == lookups
