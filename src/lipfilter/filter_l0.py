@@ -40,7 +40,8 @@ def global_filter_l0(graph, f, cover):
         for y, fy in outside[i + 1 :]:
             d = graph.dist(x, y)
             if d is not math.inf and abs(fx - fy) > d:
-                raise NotACover(f"violated pair ({x!r}, {y!r}) not covered")
+                raise NotACover(
+                    f"violated pair ({graph.canon(x)}, {graph.canon(y)}) not covered")
 
     g = dict(values)
     for u in cover:

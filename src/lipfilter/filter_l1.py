@@ -116,7 +116,8 @@ class LocalFilterL1:
         if t == 1:
             v = self.f.lookup(x)
             if v is None:
-                raise PartialFunction(f"filter needs a total function; f({x!r}) = ?")
+                raise PartialFunction(
+                    f"filter needs a total function; f({self.graph.canon(x)}) = ?")
         else:
             v = self._value(x, t - 1)
             partner = self._matcher(t).match_of(x)
@@ -244,7 +245,8 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
     for x in graph.vertices():
         v = f.lookup(x)
         if v is None:
-            raise PartialFunction(f"filter needs a total function; f({x!r}) = ?")
+            raise PartialFunction(
+                f"filter needs a total function; f({graph.canon(x)}) = ?")
         current[x] = v
     tables = [dict(current)]
     for t in range(2, schedule.rounds + 1):

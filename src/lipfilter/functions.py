@@ -72,7 +72,8 @@ class FunctionOracle:
 
     Defined values live in [lo, lo + r]; ``r`` is the claimed range
     diameter.  ``lo`` is 0 for ordinary oracles and shifts for clipped or
-    interval-restricted views.  ``lookup`` checks the vertex, reads the
+    interval-restricted views; ``hi`` = lo + r is set once, at
+    construction.  ``lookup`` checks the vertex, reads the
     value with ``_read``, and raises RangeViolation for a value outside
     [lo, hi] if the class sets ``checks_range``; classes whose values are
     in range by construction clear it.  ``bounds`` is the interval, inside
@@ -89,14 +90,11 @@ class FunctionOracle:
         self.lo = parse_rational(lo)
         if self.r < 0:
             raise RangeViolation(f"range diameter must be nonnegative, got {self.r}")
-        self.bounds = Interval(self.lo, self.lo + self.r)
+        self.hi = self.lo + self.r
+        self.bounds = Interval(self.lo, self.hi)
         self.graph = graph
         self._lookups = 0
         self._lock = threading.Lock()
-
-    @property
-    def hi(self) -> Fraction:
-        return self.lo + self.r
 
     @property
     def lookups(self) -> int:
@@ -113,9 +111,8 @@ class FunctionOracle:
         self.graph.check_vertex(x)
         v = self._read(x)
         if v is not None and self.checks_range and not (self.lo <= v <= self.hi):
-            raise RangeViolation(
-                f"f({x!r}) = {v} outside claimed range [{self.lo}, {self.hi}]"
-            )
+            raise RangeViolation(f"f({self.graph.canon(x)}) = {v} outside "
+                                 f"claimed range [{self.lo}, {self.hi}]")
         return v
 
     def _read(self, x):
@@ -155,16 +152,17 @@ class TableFunction(FunctionOracle):
     def __init__(self, graph, values: dict, r, *, default="?", lo=0):
         super().__init__(graph, r, lo=lo)
         self.default = parse_value(default)
+        lo, hi = self.lo, self.hi
         table = {}
         for x, v in values.items():
             graph.check_vertex(x)
             v = parse_value(v)
-            if v is not None and not (self.lo <= v <= self.hi):
+            if v is not None and not (lo <= v <= hi):
                 raise RangeViolation(
-                    f"table value f({x!r}) = {v} outside [{self.lo}, {self.hi}]"
+                    f"table value f({graph.canon(x)}) = {v} outside [{lo}, {hi}]"
                 )
             table[x] = v
-        if self.default is not None and not (self.lo <= self.default <= self.hi):
+        if self.default is not None and not (lo <= self.default <= hi):
             raise RangeViolation(f"default value {self.default} out of range")
         self._table = table
 
@@ -287,6 +285,10 @@ def load_function(source) -> tuple:
 
     Format: {"domain": {...}, "r": "p/q", "values": {canon: "p/q" | "?"},
     "default": "p/q" | "?"}.  ``source`` is a dict, JSON text, or a path.
+    Keys decode through the graph's ``from_canon``, and each distinct value
+    is parsed once: entries with equal values share one Fraction.  Entries
+    are read in document order, key before value, so an error names the
+    first bad entry.
     """
     data = read_json(source, "function")
     try:
@@ -298,9 +300,18 @@ def load_function(source) -> tuple:
     values = data.get("values", {})
     if not isinstance(values, dict):
         raise InvalidParam(f"function values must be a JSON object, got {values!r}")
-    values = {graph.from_canon(k): parse_value(v) for k, v in values.items()}
+    parsed = {}  # JSON value -> its Fraction or None, for this document only
+    table = {}
+    for k, v in values.items():
+        x = graph.from_canon(k)
+        try:
+            table[x] = parsed[v]
+        except KeyError:
+            table[x] = parsed[v] = parse_value(v)
+        except TypeError:  # a JSON list or object, which parse_value rejects
+            table[x] = parse_value(v)
     f = TableFunction(
-        graph, values, parse_rational(r), default=data.get("default", "?")
+        graph, table, parse_rational(r), default=data.get("default", "?")
     )
     return graph, f
 

@@ -30,6 +30,8 @@ _INT = frozenset((int,))
 _BITS_OF = [list(itertools.product((0, 1), repeat=w)) for w in range(9)]
 # canon of a 0/1 tuple: its bytes with 0 and 1 read as the digits
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# and back: the digits' bytes read as 0 and 1
+_UNDIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class InvalidArgs(OutOfDomain):
@@ -66,7 +68,8 @@ class _BallMixin:
         except ValueError:
             pass
         else:
-            # int() also reads signs, spaces and non-ASCII digits
+            # a decoder reads more than canon writes: int() takes signs,
+            # spaces and non-ASCII digits, the cube's table other bytes
             if self.contains(x) and self.canon(x) == s:
                 return x
         raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}")
@@ -178,7 +181,9 @@ class Hypercube(Hypergrid):
     """The Boolean cube {0,1}^d under Hamming distance: the hypergrid with
     n = 2 and coordinates from 0.
 
-    It keeps its own fast kernels for ``contains``, ``canon`` and balls.
+    It keeps its own fast kernels for ``contains``, ``canon``, decoding and
+    balls: ``canon`` and ``_decode`` map a tuple's bytes through a byte
+    table and back, with no per-coordinate ``int()``.
     """
 
     kind = "hypercube"
@@ -231,6 +236,11 @@ class Hypercube(Hypergrid):
 
     def canon(self, x) -> str:
         return bytes(x).translate(_DIGITS).decode()
+
+    def _decode(self, s: str) -> tuple:
+        # non-ASCII text raises UnicodeEncodeError, a ValueError; other
+        # bytes pass through, and from_canon's round trip rejects them
+        return tuple(s.encode("ascii").translate(_UNDIGITS))
 
 
 class ExplicitGraph(_BallMixin):

@@ -173,7 +173,7 @@ class BinarySearchMechanism:
             g = self._session(i, t).value(x)
             if g is None:
                 raise PartialFunction(
-                    f"binary search needs a defined value; f({x!r}) = ?")
+                    f"binary search needs a defined value; f({self.graph.canon(x)}) = ?")
             g -= self.f.lo
             reading = g if noise is None else g + noise.laplace(self.noise_scale)
             if t - self.alpha <= reading <= t + self.alpha:

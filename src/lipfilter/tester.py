@@ -67,7 +67,7 @@ def tolerant_test_once(graph, f, params: TesterParams, seed: Seed, *,
     pivot = random_vertex(graph, rng)
     center = f.lookup(pivot)
     if center is None:
-        raise PartialFunction(f"tester pivot {pivot!r} has no value")
+        raise PartialFunction(f"tester pivot {graph.canon(pivot)} has no value")
     window = Interval(center - params.t, center + params.t)
     restricted = f.restrict(window)
     filt = LocalFilterL0(

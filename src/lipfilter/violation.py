@@ -147,7 +147,8 @@ def is_c_lipschitz(graph, f, c) -> bool:
         fu = values[u]
         fv = values[v]
         if fu is None or fv is None:
-            raise PartialFunction(f"edge scan hit undefined value at {u!r} or {v!r}")
+            raise PartialFunction(f"edge scan hit undefined value at "
+                                  f"{graph.canon(u)} or {graph.canon(v)}")
         if abs(fu - fv) > c:
             return False
     return True

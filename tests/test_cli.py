@@ -394,7 +394,7 @@ class TestErrors:
                      "--eps", "1", "--query", "0000", "--no-noise"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error:") and "= ?" in captured.err
+        assert captured.err.startswith("error:") and "f(0000) = ?" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

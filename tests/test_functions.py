@@ -26,6 +26,7 @@ from lipfilter import (
     parse_value,
     sample_hard_instance,
 )
+from lipfilter import functions
 
 
 class TestRationals:
@@ -290,3 +291,52 @@ class TestJson:
         msg = f"function domain must be a JSON object, got {domain!r}"
         with pytest.raises(InvalidParam, match=f"^{re.escape(msg)}$"):
             load_function({"domain": domain, "r": "2"})
+
+    def test_repeated_values_in_mixed_forms(self):
+        g = Hypercube(4)
+        forms = ["1", "2/2", "1/2", "0.5", "?", 3, 2.5]
+        doc = {g.canon(x): forms[i % len(forms)]
+               for i, x in enumerate(list(g.vertices())[:14])}
+        g2, f = load_function({"domain": {"kind": "hypercube", "d": 4},
+                               "r": "3", "values": doc, "default": "2"})
+        expected = {g.from_canon(k): parse_value(v) for k, v in doc.items()}
+        got = {x: f.lookup(x) for x in g2.vertices()}
+        assert got == {x: expected.get(x, Fraction(2)) for x in g.vertices()}
+        assert {type(v) for v in got.values()} == {Fraction, type(None)}
+
+    @pytest.mark.parametrize("values, error, match", [
+        ({"00": "1", "0x": "1"}, OutOfDomain, "'0x'"),
+        ({"00": "1", "01": "1/0"}, InvalidParam, "not a rational number: '1/0'"),
+        ({"00": "1", "01": "one"}, InvalidParam, "not a rational number: 'one'"),
+        ({"00": "1", "01": [1]}, InvalidParam, r"\[1\]"),
+        ({"00": "1", "01": {"v": 1}}, InvalidParam, "not a rational number"),
+        # the first bad entry in document order is the one named
+        ({"00": "x", "0x": "1"}, InvalidParam, "'x'"),
+        ({"0x": "1", "00": "x"}, OutOfDomain, "'0x'"),
+        ({"0x": "x", "00": "y"}, OutOfDomain, "'0x'"),
+        ({"00": "x", "01": "y"}, InvalidParam, "'x'"),
+        ({"00": [1], "01": "y"}, InvalidParam, r"\[1\]"),
+    ], ids=repr)
+    def test_bad_entry_named(self, values, error, match):
+        doc = {"domain": {"kind": "hypercube", "d": 2}, "r": "2", "values": values}
+        with pytest.raises(error, match=match):
+            load_function(doc)
+
+    def test_each_distinct_value_text_parsed_once(self, monkeypatch):
+        texts = []
+        parse = functions.parse_rational
+
+        def counted(s):
+            if isinstance(s, str):
+                texts.append(s)
+            return parse(s)
+
+        monkeypatch.setattr(functions, "parse_rational", counted)
+        g = Hypercube(10)
+        forms = ["0", "1/2", "3/2", "2"]
+        doc = {"domain": {"kind": "hypercube", "d": 10}, "r": "2", "default": "?",
+               "values": {g.canon(x): forms[i % 4] for i, x in enumerate(g.vertices())}}
+        _, f = load_function(doc)
+        # the four value texts and r, not one parse per entry
+        assert sorted(texts) == sorted(forms + ["2"])
+        assert f.lookup((1,) * 10) == 2

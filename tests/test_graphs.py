@@ -169,6 +169,13 @@ class TestFromCanon:
     @pytest.mark.parametrize("g, s", [
         (Hypercube(1), "\u0661"),  # ARABIC-INDIC DIGIT ONE
         (Hypercube(3), "0 1"),
+        (Hypercube(3), ""),
+        (Hypercube(3), "0101"),
+        (Hypercube(3), "01\u0661"),
+        # the cube's byte table passes these bytes through as coordinates
+        # 0 and 1; only the canon round trip rejects them
+        (Hypercube(2), "\x00\x01"),
+        (Hypercube(2), "\x01\x00"),
         (Hypergrid(12, 2), " 1+2"),
         (Hypergrid(12, 2), "010"),
         (Hypergrid(12, 2), "01012"),
@@ -183,6 +190,7 @@ class TestFromCanon:
 
     @pytest.mark.parametrize("g", [
         Hypergrid(12, 2), Hypergrid(3, 2), ExplicitGraph(12, [(0, 11)]),
+        Hypercube(1), Hypercube(8), Hypercube(9),
     ], ids=repr)
     def test_inverts_canon(self, g):
         for x in g.vertices():
