@@ -34,11 +34,9 @@ from .functions import (
 )
 from .graphs import Hypercube, Hypergrid, load_graph, random_vertex
 from .hard import sample_hard_instance
-from .matching import DEFAULT_EDGE_BUDGET
 from .privacy import BinarySearchMechanism, FilterMechanism, NoiseSource
 from .seeds import Seed
 from .tester import tolerant_test
-from .violation import DEFAULT_SCAN_BUDGET
 from . import exact
 
 
@@ -95,37 +93,13 @@ def _add_fn_args(p):
     p.add_argument("--seed", help="64 hex chars; random when omitted")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an int >= 1, else a usage error naming the flag."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
-
-
-def _budget_args(p):
-    p.add_argument("--scan-budget", type=_positive_int, default=DEFAULT_SCAN_BUDGET,
-                   help="ball vertices per violation scan")
-    p.add_argument("--match-budget", type=_positive_int, default=DEFAULT_EDGE_BUDGET,
-                   help="matching edges explored per point query; l1 --all "
-                        "matches each round globally, bounded by the scan "
-                        "budget only")
-
-
 def _cmd_filter(args, parser):
     graph, f = _load_fn(args, parser)
     seed = _parse_seed(args.seed)
     if args.mode == "l1":
-        filt = LocalFilterL1(
-            graph, f, seed, slack=parse_rational(args.slack),
-            scan_budget=args.scan_budget, match_budget=args.match_budget)
+        filt = LocalFilterL1(graph, f, seed, slack=parse_rational(args.slack))
     else:
-        filt = LocalFilterL0(
-            graph, f, seed,
-            scan_budget=args.scan_budget, match_budget=args.match_budget)
+        filt = LocalFilterL0(graph, f, seed)
     out = {"mode": args.mode, "seed": seed.hex}
     if args.mode == "l1":
         out["rounds"] = filt.schedule.rounds
@@ -168,8 +142,7 @@ def _cmd_test(args, parser):
     seed = _parse_seed(args.seed)
     report = tolerant_test(
         graph, f, parse_rational(args.eps), seed,
-        m=args.m, reps=args.reps,
-        scan_budget=args.scan_budget, match_budget=args.match_budget)
+        m=args.m, reps=args.reps)
     _emit({
         "accept": report.accept,
         "estimates": [_fmt(e) for e in report.estimates],
@@ -194,18 +167,14 @@ def _cmd_mechanism(args, parser):
     x = graph.from_canon(args.query)
     out = {"seed": seed.hex, "noise_seed": noise_hex, "query": args.query}
     if args.binary_search:
-        mech = BinarySearchMechanism(
-            graph, f, eps, seed,
-            scan_budget=args.scan_budget, match_budget=args.match_budget)
+        mech = BinarySearchMechanism(graph, f, eps, seed)
         res = mech.answer(x, noise)
         out.update({
             "value": _fmt(res.value),
             "iterations": res.iterations,
         })
     else:
-        mech = FilterMechanism(
-            graph, f, eps, seed,
-            scan_budget=args.scan_budget, match_budget=args.match_budget)
+        mech = FilterMechanism(graph, f, eps, seed)
         value = mech.answer(x, noise)
         out["value"] = _fmt(value)
     _emit(out)
@@ -227,9 +196,7 @@ def _cmd_gen_hard(args, parser):
     return 0
 
 
-def run_bench(dims, r, seed: Seed, *, queries: int = 30, pairs: int = 8,
-              scan_budget: int = DEFAULT_SCAN_BUDGET,
-              match_budget: int = DEFAULT_EDGE_BUDGET):
+def run_bench(dims, r, seed: Seed, *, queries: int = 30, pairs: int = 8):
     """Lookup counts for the l0 filter on planted b=1 cubes.
 
     Every query runs in a fresh filter session so nothing is amortized
@@ -248,9 +215,7 @@ def run_bench(dims, r, seed: Seed, *, queries: int = 30, pairs: int = 8,
         for q in range(queries):
             x = random_vertex(graph, rng)
             f.reset_lookups()
-            filt = LocalFilterL0(
-                graph, f, seed.derive("session", i * queries + q),
-                scan_budget=scan_budget, match_budget=match_budget)
+            filt = LocalFilterL0(graph, f, seed.derive("session", i * queries + q))
             filt.value(x)
             counts.append(f.lookups)
         rows.append({
@@ -269,8 +234,7 @@ def _cmd_bench(args, parser):
     except ValueError:
         raise InvalidParam(f"bad --dims {args.dims!r}: expected integers") from None
     rows = run_bench(
-        dims, args.r, seed, queries=args.queries, pairs=args.pairs,
-        scan_budget=args.scan_budget, match_budget=args.match_budget)
+        dims, args.r, seed, queries=args.queries, pairs=args.pairs)
     _emit({"r": args.r, "rows": rows, "seed": seed.hex})
     return 0
 
@@ -283,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="run a local filter")
     _add_fn_args(p)
-    _budget_args(p)
     p.add_argument("--mode", choices=("l1", "l0"), default="l1")
     p.add_argument("--slack", default=str(DEFAULT_SLACK),
                    help="l1 slack, e.g. 1/100")
@@ -303,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="tolerant Lipschitz tester")
     _add_fn_args(p)
-    _budget_args(p)
     p.add_argument("--eps", required=True)
     p.add_argument("--m", type=int, default=None,
                    help="samples per repetition (default scales as eps^-2)")
@@ -312,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mechanism", help="private value release")
     _add_fn_args(p)
-    _budget_args(p)
     p.add_argument("--eps", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--binary-search", action="store_true")
@@ -333,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_hard)
 
     p = sub.add_parser("bench", help="per-query l0 filter lookup counts")
-    _budget_args(p)
     p.add_argument("--dims", required=True, help="comma list, e.g. 8,10,12")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--queries", type=int, default=30)

@@ -13,7 +13,7 @@ import math
 
 from .errors import NotACover
 from .functions import ValueMemo
-from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA
+from .matching import MatchingLCA
 from .seeds import Seed
 from .violation import DEFAULT_SCAN_BUDGET, scan_scored_neighbors
 
@@ -79,23 +79,18 @@ class LocalFilterL0:
     ``clip`` for others.
     """
 
-    def __init__(self, graph, f, seed: Seed, *,
-                 scan_budget=DEFAULT_SCAN_BUDGET, match_budget=DEFAULT_EDGE_BUDGET):
+    def __init__(self, graph, f, seed: Seed):
         self.graph = graph
         self.f = f
         self.lo = f.lo
         self.bounds = f.bounds
-        self.scan_budget = scan_budget
         self._values = ValueMemo(f)
-        self._matcher = MatchingLCA(
-            self._viol_adjacent, seed, encode=graph.canon, budget=match_budget
-        )
+        self._matcher = MatchingLCA(self._viol_adjacent, seed, encode=graph.canon)
 
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
         return list(scan_scored_neighbors(
-            self.graph, self._values.__getitem__, v, tau=0,
-            bounds=self.bounds, budget=self.scan_budget))
+            self.graph, self._values.__getitem__, v, tau=0, bounds=self.bounds))
 
     def read_table(self):
         """Read f at every vertex into the session memo, so that no query
@@ -123,7 +118,7 @@ class LocalFilterL0:
         bn, bd = best.numerator, best.denominator
         stop = math.ceil(hi - best)
         for y, d in self.graph.ball(x, hi - self.lo, open_=True,
-                                    budget=self.scan_budget):
+                                    budget=DEFAULT_SCAN_BUDGET):
             if d >= stop:
                 break
             fy = values[y]

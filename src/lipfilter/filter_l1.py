@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam, PartialFunction
-from .matching import DEFAULT_EDGE_BUDGET, MatchingLCA, greedy_maximal_matching
+from .matching import MatchingLCA, greedy_maximal_matching
 from .seeds import Seed
-from .violation import (
-    DEFAULT_SCAN_BUDGET, _pairs_above, _violated_pairs, scan_scored_neighbors,
-)
+from .violation import _pairs_above, _violated_pairs, scan_scored_neighbors
 
 DEFAULT_SLACK = Fraction(1, 100)
 
@@ -92,15 +90,12 @@ class LocalFilterL1:
     in one session without changing any value.
     """
 
-    def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
-                 scan_budget=DEFAULT_SCAN_BUDGET, match_budget=DEFAULT_EDGE_BUDGET):
+    def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK):
         self.graph = graph
         self.f = f
         self.seed = seed
         self.schedule = make_schedule(f.r, slack)
         self.bounds = f.bounds
-        self.scan_budget = scan_budget
-        self.match_budget = match_budget
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
         self._done = 0  # last round table() has completed
@@ -139,14 +134,10 @@ class LocalFilterL1:
                     return []
                 return list(scan_scored_neighbors(
                     self.graph, lambda y: self._value(y, t - 1), v, tau=tau,
-                    bounds=self.bounds, budget=self.scan_budget))
+                    bounds=self.bounds))
 
             m = MatchingLCA(
-                adjacent,
-                self.seed.derive("iter", t),
-                encode=self.graph.canon,
-                budget=self.match_budget,
-            )
+                adjacent, self.seed.derive("iter", t), encode=self.graph.canon)
             self._matchers[t] = m
         return m
 
@@ -196,7 +187,7 @@ class LocalFilterL1:
         def scan(v, table, upward=False):
             return scan_scored_neighbors(
                 self.graph, table.get, v, tau=final, bounds=self.bounds,
-                budget=self.scan_budget, upward=upward)
+                upward=upward)
 
         for s in range(self._done + 1, t + 1):
             if s == 1:

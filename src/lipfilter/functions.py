@@ -27,8 +27,9 @@ def parse_rational(s) -> Fraction:
         return s
     if isinstance(s, int):
         return Fraction(s)
-    # floats arrive from CLI flags; use their decimal rendering so that
-    # 0.25 means 1/4, not the nearest binary fraction of a repr quirk
+    # floats come from JSON documents and Python callers (CLI flags arrive
+    # as text); use their decimal rendering so that 0.25 means 1/4, not
+    # the nearest binary fraction of a repr quirk
     text = repr(s) if isinstance(s, float) else str(s).strip()
     try:
         return Fraction(text)
@@ -242,7 +243,6 @@ class RestrictedFunction(FunctionOracle):
     def __init__(self, base: FunctionOracle, interval: Interval):
         super().__init__(base.graph, interval.width, lo=interval.lo)
         self.base = base
-        self.interval = interval
         lo = max(interval.lo, base.bounds.lo)
         hi = min(interval.hi, base.bounds.hi)
         self._empty = lo > hi

@@ -119,7 +119,6 @@ class Hypergrid(_BallMixin):
     Coordinates run from the class attribute ``base`` to ``base + n - 1``.
     """
 
-    kind = "hypergrid"
     base = 1
 
     def __init__(self, n: int, d: int):
@@ -186,7 +185,6 @@ class Hypercube(Hypergrid):
     table and back, with no per-coordinate ``int()``.
     """
 
-    kind = "hypercube"
     base = 0
 
     def __init__(self, d: int):
@@ -249,8 +247,6 @@ class ExplicitGraph(_BallMixin):
     Distances come from BFS (cached per source).  Disconnected pairs get
     math.inf, which downstream code treats as "never violated".
     """
-
-    kind = "explicit"
 
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
         if n_vertices < 1:

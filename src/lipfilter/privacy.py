@@ -24,7 +24,6 @@ from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
 from .functions import parse_rational
 from .graphs import Hypergrid
-from .matching import DEFAULT_EDGE_BUDGET
 from .seeds import Seed
 from .violation import DEFAULT_SCAN_BUDGET
 
@@ -68,16 +67,12 @@ class FilterMechanism:
     partner sit.  They are outside eps and for the operator only.
     """
 
-    def __init__(self, graph, f, eps, seed: Seed, *,
-                 scan_budget: int = DEFAULT_SCAN_BUDGET,
-                 match_budget: int = DEFAULT_EDGE_BUDGET):
+    def __init__(self, graph, f, eps, seed: Seed):
         self.eps = parse_rational(eps)
         if self.eps <= 0:
             raise InvalidParam("eps must be positive")
         clipped = f.clip(f.lo, f.lo + f.r)
-        self.filter = LocalFilterL1(
-            graph, clipped, seed, slack=1,
-            scan_budget=scan_budget, match_budget=match_budget)
+        self.filter = LocalFilterL1(graph, clipped, seed, slack=1)
         self.scale = Fraction(2) / self.eps
 
     def answer(self, x, noise: NoiseSource | None = None):
@@ -106,9 +101,7 @@ class BinarySearchMechanism:
     PartialFunction.
     """
 
-    def __init__(self, graph, f, eps, seed: Seed, *,
-                 scan_budget: int = DEFAULT_SCAN_BUDGET,
-                 match_budget: int = DEFAULT_EDGE_BUDGET):
+    def __init__(self, graph, f, eps, seed: Seed):
         self.eps = parse_rational(eps)
         if self.eps <= 0:
             raise InvalidParam("eps must be positive")
@@ -130,8 +123,6 @@ class BinarySearchMechanism:
             * Fraction(math.log2(200 * self.kappa))
         )
         self.noise_scale = Fraction(self.kappa) / self.eps
-        self._scan_budget = scan_budget
-        self._match_budget = match_budget
         self._sessions = {}
 
     def _probes(self):
@@ -145,10 +136,7 @@ class BinarySearchMechanism:
             lo = self.f.lo
             f_i = self.f.clip(max(lo, lo + t - 2 * self.alpha),
                               min(lo + self.r, lo + t + 2 * self.alpha))
-            sess = LocalFilterL0(
-                self.graph, f_i, self.seed.derive("search", i),
-                scan_budget=self._scan_budget,
-                match_budget=self._match_budget)
+            sess = LocalFilterL0(self.graph, f_i, self.seed.derive("search", i))
             # A scan walks only as far as f(x)'s distance to the window's
             # ends allows, so without this the values the first answers
             # read would depend on where x and f(x) sit.  When the window
@@ -159,7 +147,7 @@ class BinarySearchMechanism:
             # nothing else.
             graph = self.graph
             if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
-                    and graph.n_vertices <= self._scan_budget):
+                    and graph.n_vertices <= DEFAULT_SCAN_BUDGET):
                 sess.read_table()
             self._sessions[key] = sess
         return sess

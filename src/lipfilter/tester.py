@@ -1,11 +1,13 @@
-"""Tolerant Lipschitz testing on the hypercube via the l0 filter.
+"""Tolerant Lipschitz testing on the hypercube only, via the l0 filter.
 
 A Lipschitz function on {0,1}^d concentrates within +-t of any fixed
 value for t = 2 sqrt(d log2(d/eps)), so restricting f to that window and
 filtering changes few points.  A function far from Lipschitz keeps many
 violated pairs inside any window, so the filter must rewrite a constant
 fraction.  The tester estimates the rewritten fraction from m uniform
-samples and compares it against 2.005 eps.
+samples and compares it against 2.005 eps.  The window is the cube's
+concentration bound, so any other domain is rejected: a Lipschitz
+function on a wider grid can spread past it and be rejected.
 """
 from __future__ import annotations
 
@@ -17,10 +19,8 @@ from fractions import Fraction
 from .errors import InvalidParam, PartialFunction
 from .filter_l0 import LocalFilterL0
 from .functions import Interval, parse_rational
-from .graphs import Hypergrid, random_vertex
-from .matching import DEFAULT_EDGE_BUDGET
+from .graphs import Hypercube, random_vertex
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET
 
 MIN_DIMENSION = 4
 MAX_EPS = Fraction(1, 3)
@@ -59,9 +59,7 @@ class TestReport:
     params: TesterParams
 
 
-def tolerant_test_once(graph, f, params: TesterParams, seed: Seed, *,
-                       scan_budget: int = DEFAULT_SCAN_BUDGET,
-                       match_budget: int = DEFAULT_EDGE_BUDGET):
+def tolerant_test_once(graph, f, params: TesterParams, seed: Seed):
     """One repetition: (accept?, estimated changed fraction)."""
     rng = random.Random(int(seed.hex, 16))
     pivot = random_vertex(graph, rng)
@@ -70,9 +68,7 @@ def tolerant_test_once(graph, f, params: TesterParams, seed: Seed, *,
         raise PartialFunction(f"tester pivot {graph.canon(pivot)} has no value")
     window = Interval(center - params.t, center + params.t)
     restricted = f.restrict(window)
-    filt = LocalFilterL0(
-        graph, restricted, seed.derive("filter"),
-        scan_budget=scan_budget, match_budget=match_budget)
+    filt = LocalFilterL0(graph, restricted, seed.derive("filter"))
     changed = 0
     for _ in range(params.m):
         x = random_vertex(graph, rng)
@@ -84,20 +80,17 @@ def tolerant_test_once(graph, f, params: TesterParams, seed: Seed, *,
 
 
 def tolerant_test(graph, f, eps, seed: Seed, *, m: int | None = None,
-                  reps: int = 1,
-                  scan_budget: int = DEFAULT_SCAN_BUDGET,
-                  match_budget: int = DEFAULT_EDGE_BUDGET) -> TestReport:
-    """Majority verdict over `reps` independent repetitions."""
-    if not isinstance(graph, Hypergrid):
+                  reps: int = 1) -> TestReport:
+    """Majority verdict over `reps` independent repetitions; hypercube
+    only, since t is the cube's concentration bound."""
+    if not isinstance(graph, Hypercube):
         raise InvalidParam(
-            f"the tester needs a hypercube or hypergrid, not {type(graph).__name__}")
+            f"the tester needs a hypercube, not {type(graph).__name__}")
     params = make_params(graph.d, eps, m=m, reps=reps)
     votes = 0
     estimates = []
     for k in range(params.reps):
-        ok, est = tolerant_test_once(
-            graph, f, params, seed.derive("rep", k),
-            scan_budget=scan_budget, match_budget=match_budget)
+        ok, est = tolerant_test_once(graph, f, params, seed.derive("rep", k))
         votes += 1 if ok else 0
         estimates.append(est)
     return TestReport(

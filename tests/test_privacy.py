@@ -226,3 +226,48 @@ class TestBinarySearchMechanism:
             # a repeat reuses every session and reads no value
             assert mech._sessions == sessions
             assert f.lookups == lookups
+
+
+def adversarial_clients(count=60):
+    """Seeded (graph, f, k) triples: random values in quarter steps on
+    small cubes and grids, a third of them leaving [0, r] on both sides.
+
+    Each f is a CallableFunction, which does not clamp, so the
+    mechanisms' own clipping is what keeps the out-of-range ones in.
+    """
+    rng = random.Random(21)
+    graphs = [Hypercube(d) for d in (3, 4, 5)] + [Hypergrid(n, 2) for n in (3, 4, 5)]
+    for k in range(count):
+        graph = graphs[k % len(graphs)]
+        r = (2, 5, 12, 40)[k // len(graphs) % 4]
+        lo, hi = (-2 * r, 6 * r) if k % 3 == 0 else (0, 4 * r)
+        table = {x: Fraction(rng.randint(lo, hi), 4) for x in graph.vertices()}
+        yield graph, CallableFunction(graph, table.__getitem__, r), k
+
+
+def largest_edge_gap(graph, g):
+    return max(abs(g[x] - g[y]) for x, y in graph.edges())
+
+
+class TestEpsAudit:
+    """Exact checks, over adversarial clients, of the three facts eps rests
+    on: the FilterMechanism filter is 2-Lipschitz, every binary-search
+    session filters to a 1-Lipschitz function, and no answer makes more
+    than max(2, ceil(kappa)) - 1 probes."""
+
+    def test_filter_mechanism_output_is_2_lipschitz(self):
+        for graph, f, k in adversarial_clients():
+            mech = FilterMechanism(graph, f, (1, 3, 10)[k % 3], seed_of(k))
+            g = {x: mech.answer(x) for x in graph.vertices()}
+            assert largest_edge_gap(graph, g) <= 2, k
+
+    def test_binary_search_sessions_are_1_lipschitz(self):
+        for graph, f, k in adversarial_clients():
+            mech = BinarySearchMechanism(graph, f, (3, 10, 30)[k % 3], seed_of(k))
+            cap = max(2, math.ceil(mech.kappa)) - 1
+            sources = [None] + [NoiseSource(seed_of(100 + j)) for j in range(3)]
+            for noise in sources:
+                for x in graph.vertices():
+                    assert mech.answer(x, noise).iterations <= cap, k
+            for sess in mech._sessions.values():
+                assert largest_edge_gap(graph, sess.table()) <= 1, k

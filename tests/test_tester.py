@@ -6,7 +6,9 @@ import pytest
 
 from lipfilter import (
     CallableFunction,
+    ExprFunction,
     Hypercube,
+    Hypergrid,
     Interval,
     InvalidParam,
     PartialFunction,
@@ -92,6 +94,15 @@ class TestDichotomySmallScale:
 
 
 class TestMechanics:
+    @pytest.mark.parametrize("n, d", [(20, 4), (2, 8)])
+    def test_grid_rejected(self, n, d):
+        # t is the cube's concentration bound: on [20]^4 the Lipschitz
+        # sum() spreads past it and was rejected at seeds 0 and 2
+        g = Hypergrid(n, d)
+        f = ExprFunction(g, "sum()", n * d)
+        with pytest.raises(InvalidParam, match="hypercube, not Hypergrid"):
+            tolerant_test(g, f, Fraction(1, 4), seed_of(0), m=200)
+
     def test_deterministic_for_seed(self):
         g, f = scaled_parity(8)
         p = make_params(8, Fraction(1, 10), m=200)
