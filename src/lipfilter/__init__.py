@@ -51,6 +51,7 @@ from .functions import (
     parse_value,
 )
 from .graphs import (
+    DEFAULT_SCAN_BUDGET,
     ExplicitGraph,
     Hypercube,
     Hypergrid,
@@ -81,7 +82,6 @@ from .tester import (
     tolerant_test_once,
 )
 from .violation import (
-    DEFAULT_SCAN_BUDGET,
     is_c_lipschitz,
     max_violation_score,
     scan_scored_neighbors,

@@ -15,7 +15,7 @@ from .errors import NotACover
 from .functions import ValueMemo
 from .matching import MatchingLCA
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET, scan_scored_neighbors
+from .violation import scan_scored_neighbors
 
 
 def global_filter_l0(graph, f, cover):
@@ -66,11 +66,11 @@ class LocalFilterL0:
     graph) are re-extended from the unmatched values: g(x) = max(lo, f(y) -
     d(x, y)) over the unmatched, defined y, where lo = f.lo is the floor.
     Every defined value lies in f.bounds = [blo, bhi] (inside [lo, hi]),
-    so a y at d(x, y) >= bhi - lo scores at most lo, and only the open
-    ball of that radius is walked; everything else passes through.
-    ``value`` walks it in (distance, vertex) order with a running best,
-    asks the matching only about a y with f(y) - d > best, and stops at
-    the first y with bhi - d <= best.  Scans take f.bounds too.  Caches
+    so a y at d(x, y) >= bhi - lo scores at most lo, and only the closed
+    ball of radius ceil(bhi - lo) - 1 is walked; everything else passes
+    through.  ``value`` walks it in (distance, vertex) order with a running
+    best, asks the matching only about a y with f(y) - d > best, and stops
+    at the first y with bhi - d <= best.  Scans take f.bounds too.  Caches
     inside a session are logically transparent: answers equal a fresh
     computation for every query order.  The session memo is a dict of f's
     values that reads f on a miss, so f is read once per distinct vertex;
@@ -108,17 +108,17 @@ class LocalFilterL0:
         fx = values[x]
         if self.match_of(x) is None:
             return fx
-        # The open ball is exact: f(y) <= hi = bounds.hi, so a y at d >= hi
-        # - lo scores at most lo.  The stop is exact: the ball is sorted by d,
-        # so once d >= hi - best no later y beats best.  With best = bn/bd
-        # and f(y) = c/e, f(y) - d > best is decided in ints, and only such
-        # a y is asked whether it is matched.
+        # One rule bounds the walk and stops it: f(y) <= hi = bounds.hi, so
+        # a y at d >= hi - best scores at most best.  The ball, sorted by d,
+        # is the one of radius ceil(hi - lo) - 1, and the walk stops once d
+        # reaches ceil(hi - best).  With best = bn/bd and f(y) = c/e, f(y) -
+        # d > best is decided in ints, and only such a y is asked whether
+        # it is matched.
         hi = self.bounds.hi
         best = self.lo
         bn, bd = best.numerator, best.denominator
         stop = math.ceil(hi - best)
-        for y, d in self.graph.ball(x, hi - self.lo, open_=True,
-                                    budget=DEFAULT_SCAN_BUDGET):
+        for y, d in self.graph.ball(x, stop - 1):
             if d >= stop:
                 break
             fy = values[y]

@@ -23,6 +23,9 @@ from .errors import BudgetExceeded, InvalidParam, OutOfDomain
 
 Vertex = "tuple[int, ...] | int"
 
+# the most vertices a ball may hold: the cap on every scan and extension
+DEFAULT_SCAN_BUDGET = 200_000
+
 _ZERO_ONE = frozenset((0, 1))
 _INT = frozenset((int,))
 # _BITS_OF[w][b]: the w bits of b < 2^w as a tuple, most significant first
@@ -38,13 +41,6 @@ class InvalidArgs(OutOfDomain):
     """Constructor arguments do not describe a graph."""
 
 
-def _ball_limit(radius, open_: bool) -> int:
-    """Largest integer distance admitted by a (possibly fractional) radius."""
-    if open_:
-        return math.ceil(radius) - 1
-    return math.floor(radius)
-
-
 class _BallMixin:
     """Vertex checks, canonical decoding, and balls with a vertex budget.
 
@@ -52,9 +48,9 @@ class _BallMixin:
     accepts its argument.  ``from_canon`` inverts ``canon`` exactly: it
     decodes through the graph's ``_decode`` and raises OutOfDomain unless
     the result is a vertex whose ``canon`` gives the text back.  ``ball``
-    validates its arguments and hands the integer distance limit to
-    ``_ball``; the default ``_ball`` is a BFS over ``neighbors``, and a
-    graph with a closed form for its balls overrides ``_ball`` alone.
+    validates its arguments and hands them to ``_ball``; the default
+    ``_ball`` is a BFS over ``neighbors``, and a graph with a closed form
+    for its balls overrides ``_ball`` alone.
     """
 
     def check_vertex(self, x) -> None:
@@ -74,34 +70,38 @@ class _BallMixin:
                 return x
         raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}")
 
-    def ball(self, x, radius, *, open_: bool = False, budget: int | None = None):
-        """Vertices within ``radius`` of ``x`` as (vertex, dist) pairs.
+    def ball(self, x, radius: int, *, budget: int = DEFAULT_SCAN_BUDGET):
+        """Vertices at distance at most ``radius`` from ``x`` as (vertex,
+        dist) pairs, sorted by (distance, vertex); [] for a negative radius.
 
-        Closed by default; ``open_=True`` means strict inequality.  Results
-        are sorted by (distance, vertex).  Raises BudgetExceeded if and only
-        if the ball has more than ``budget`` vertices.
+        ``radius`` and ``budget`` are ints; anything else, a bool or an
+        integral float included, raises InvalidParam.  Raises
+        BudgetExceeded if and only if the ball has more than ``budget``
+        vertices.
         """
         self.check_vertex(x)
-        limit = _ball_limit(radius, open_)
-        if limit < 0:
+        if type(radius) is not int or type(budget) is not int:
+            raise InvalidParam(
+                f"ball needs an int radius and budget, got {radius!r} and {budget!r}")
+        if radius < 0:
             return []
-        out = self._ball(x, limit, budget)
+        out = self._ball(x, radius, budget)
         if out is None:
             raise BudgetExceeded(
-                f"ball({self.canon(x)}, {limit}) exceeded vertex budget {budget}")
+                f"ball({self.canon(x)}, {radius}) exceeded vertex budget {budget}")
         return out
 
-    def _ball(self, x, limit: int, budget: int | None):
-        """Sorted ball of integer radius ``limit``, or None past ``budget``."""
+    def _ball(self, x, radius: int, budget: int):
+        """Sorted ball of ``radius`` >= 0, or None past ``budget``."""
         out = [(x, 0)]
         seen = {x}
         queue = deque([(x, 0)])
         while queue:
             # every collected vertex is queued, so this also sees the last
-            if budget is not None and len(out) > budget:
+            if len(out) > budget:
                 return None
             v, d = queue.popleft()
-            if d == limit:
+            if d == radius:
                 continue
             for w in self.neighbors(v):
                 if w in seen:
@@ -127,8 +127,6 @@ class Hypergrid(_BallMixin):
         self.n = n
         self.d = d
         self.n_vertices = n**d
-        # two neighbours per coordinate at an inner point, one when n = 2
-        self.max_degree = min(n - 1, 2) * d
         self.diameter = (n - 1) * d
         self._width = len(str(n))
 
@@ -205,14 +203,15 @@ class Hypercube(Hypergrid):
     def dist(self, x, y) -> int:
         return sum(a != b for a, b in zip(x, y))
 
-    def _ball(self, x, limit: int, budget: int | None):
-        # The ball has sum_{k <= limit} C(d, k) vertices, so the budget is
-        # decided before any is built.  With x read as an int, coordinate 0
-        # most significant, int order is tuple order: layer k is x XOR each
-        # weight-k mask, sorted.  The ints become tuples a byte at a time.
+    def _ball(self, x, radius: int, budget: int):
+        # The ball has sum_{k <= limit} C(d, k) vertices, limit = min(radius,
+        # d), so the budget is decided before any is built.  With x read as
+        # an int, coordinate 0 most significant, int order is tuple order:
+        # layer k is x XOR each weight-k mask, sorted.  The ints become
+        # tuples a byte at a time.
         d = self.d
-        limit = min(limit, d)
-        if budget is not None and sum(math.comb(d, k) for k in range(limit + 1)) > budget:
+        limit = min(radius, d)
+        if sum(math.comb(d, k) for k in range(limit + 1)) > budget:
             return None
         xi = int(bytes(x).translate(_DIGITS), 2)
         masks = self._masks
@@ -244,8 +243,9 @@ class Hypercube(Hypergrid):
 class ExplicitGraph(_BallMixin):
     """An undirected graph given by an edge list over vertices 0..N-1.
 
-    Distances come from BFS (cached per source).  Disconnected pairs get
-    math.inf, which downstream code treats as "never violated".
+    Distances are read from the whole ball of each source, cached.
+    Disconnected pairs get math.inf, which downstream code treats as
+    "never violated".
     """
 
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
@@ -268,15 +268,14 @@ class ExplicitGraph(_BallMixin):
             edge_set.add((min(u, v), max(u, v)))
         self._adj = [tuple(sorted(s)) for s in adj]
         self._edges = sorted(edge_set)
-        self.max_degree = max((len(a) for a in self._adj), default=0)
-        self._dist_cache: dict[int, list] = {}
+        self._dist_cache: dict[int, dict] = {}
         self._width = len(str(n_vertices - 1))
 
     def __repr__(self):
         return f"ExplicitGraph(n_vertices={self.n_vertices}, edges={len(self._edges)})"
 
     def contains(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.n_vertices
+        return type(x) is int and 0 <= x < self.n_vertices
 
     def vertices(self) -> Iterator[int]:
         return iter(range(self.n_vertices))
@@ -285,26 +284,15 @@ class ExplicitGraph(_BallMixin):
         self.check_vertex(x)
         return self._adj[x]
 
-    def _dists_from(self, x) -> list:
-        cached = self._dist_cache.get(x)
-        if cached is not None:
-            return cached
-        dist = [math.inf] * self.n_vertices
-        dist[x] = 0
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if dist[w] is math.inf:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        self._dist_cache[x] = dist
-        return dist
-
     def dist(self, x, y):
         self.check_vertex(x)
         self.check_vertex(y)
-        return self._dists_from(x)[y]
+        dists = self._dist_cache.get(x)
+        if dists is None:
+            # no ball outgrows the graph, so this one never runs out
+            n = self.n_vertices
+            dists = self._dist_cache[x] = dict(self.ball(x, n, budget=n))
+        return dists.get(y, math.inf)
 
     def edges(self) -> Iterator[tuple]:
         return iter(self._edges)

@@ -23,9 +23,8 @@ from .errors import InvalidParam, PartialFunction
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
 from .functions import parse_rational
-from .graphs import Hypergrid
+from .graphs import DEFAULT_SCAN_BUDGET, Hypergrid
 from .seeds import Seed
-from .violation import DEFAULT_SCAN_BUDGET
 
 
 class NoiseSource:

@@ -59,8 +59,18 @@ class TestReport:
     params: TesterParams
 
 
+def _cube_dimension(graph) -> int:
+    """graph.d for a hypercube; InvalidParam for any other graph, since
+    t is the cube's concentration bound."""
+    if not isinstance(graph, Hypercube):
+        raise InvalidParam(
+            f"the tester needs a hypercube, not {type(graph).__name__}")
+    return graph.d
+
+
 def tolerant_test_once(graph, f, params: TesterParams, seed: Seed):
     """One repetition: (accept?, estimated changed fraction)."""
+    _cube_dimension(graph)
     rng = random.Random(int(seed.hex, 16))
     pivot = random_vertex(graph, rng)
     center = f.lookup(pivot)
@@ -81,12 +91,8 @@ def tolerant_test_once(graph, f, params: TesterParams, seed: Seed):
 
 def tolerant_test(graph, f, eps, seed: Seed, *, m: int | None = None,
                   reps: int = 1) -> TestReport:
-    """Majority verdict over `reps` independent repetitions; hypercube
-    only, since t is the cube's concentration bound."""
-    if not isinstance(graph, Hypercube):
-        raise InvalidParam(
-            f"the tester needs a hypercube, not {type(graph).__name__}")
-    params = make_params(graph.d, eps, m=m, reps=reps)
+    """Majority verdict over `reps` independent repetitions."""
+    params = make_params(_cube_dimension(graph), eps, m=m, reps=reps)
     votes = 0
     estimates = []
     for k in range(params.reps):

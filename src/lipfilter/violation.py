@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .errors import PartialFunction
 from .functions import ValueMemo
-
-DEFAULT_SCAN_BUDGET = 200_000
+from .graphs import DEFAULT_SCAN_BUDGET
 
 
 def violation_score(graph, f, x, y) -> Fraction:

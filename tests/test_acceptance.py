@@ -295,10 +295,10 @@ def test_c09_tester_dichotomy_full_scale():
             "half-width t = 2*sqrt(d*log2(d/eps)) ~ 29.9, and the l0 "
             "extension's floor is the window's low end, about 29.9 below "
             "the parity values [0, 2], so a matched query must walk the "
-            "open ball of radius bounds.hi - lo ~ 31.9 around it, nearly "
+            "ball of radius ceil(bounds.hi - lo) - 1 = 31 around it, nearly "
             "all 2^32 vertices (the violation scans, which trust the "
             "bounds [0, 2], walk radius 1); the default 200000-vertex "
-            "scan budget aborts the first matched query. The dichotomy "
+            "ball budget aborts the first matched query. The dichotomy "
             "itself is verified at feasible scale in test_tester.py and "
             "the estimator below runs at full m.")
     pytest.fail("expected the d=32 run to exhaust its scan budget")

@@ -21,6 +21,7 @@ from lipfilter import (
     sample_hard_instance,
     violation_edges,
 )
+from lipfilter import filter_l0
 from helpers import (
     corrupted_lipschitz,
     lipschitz_table,
@@ -191,7 +192,7 @@ def rational_table(g, rng, r):
 
 
 class TestExtension:
-    """The matched branch of ``value``: its open ball, its stop at hi - d <=
+    """The matched branch of ``value``: its ball, its stop at hi - d <=
     best and its int comparisons against the definition."""
 
     def instances(self):
@@ -260,23 +261,29 @@ class TestReachAndFloor:
         base = rational_table(grid, random.Random(13), 3)
         yield grid, base.restrict(Interval.of(Fraction(-7, 2), 9))
 
-    def test_local_equals_global_and_scans_reach_bounds(self):
+    def test_local_equals_global_and_scans_reach_bounds(self, monkeypatch):
         for i, (g, f) in enumerate(self.instances()):
             assert f.lo < f.bounds.lo and f.bounds.hi < f.hi
-            walked = []
-            ball = g.ball
+            # (radius, walked inside a scan?) for every ball
+            walked, scanning = [], []
+            ball, scan = g.ball, filter_l0.scan_scored_neighbors
 
-            def recording(x, radius, open_=False, **kw):
-                out = ball(x, radius, open_=open_, **kw)
-                walked.append((radius, open_))
-                return out
+            def recording(x, radius, **kw):
+                walked.append((radius, bool(scanning)))
+                return ball(x, radius, **kw)
 
-            g.ball = recording
-            try:
-                filt = LocalFilterL0(g, f, seed_of(200 + i))
-                got = filt.table()
-            finally:
-                del g.ball
+            def scanning_scan(*args, **kw):
+                scanning.append(True)
+                try:
+                    return scan(*args, **kw)
+                finally:
+                    scanning.pop()
+
+            monkeypatch.setattr(g, "ball", recording)
+            monkeypatch.setattr(filter_l0, "scan_scored_neighbors", scanning_scan)
+            filt = LocalFilterL0(g, f, seed_of(200 + i))
+            got = filt.table()
+            monkeypatch.undo()
             assert got == global_filter_l0(g, f, filt.matched_set())
             assert len(filt.matched_set()) > 4
             # answers below bounds.lo: a floor at bounds.lo would differ
@@ -284,10 +291,13 @@ class TestReachAndFloor:
             # scans walk ceil(max(hi - f(x), f(x) - lo)) - 1 with [lo, hi]
             # the bounds: radius 1 on parity, whose bounds are [0, 2]
             reach = math.ceil(f.bounds.width) - 1
-            scans = [radius for radius, open_ in walked if not open_]
+            scans = [radius for radius, in_scan in walked if in_scan]
             assert scans and max(scans) <= reach
             if i == 0:
                 assert set(scans) == {1}
+            # each extension walks ceil(bounds.hi - lo) - 1, from the floor
+            extensions = [radius for radius, in_scan in walked if not in_scan]
+            assert set(extensions) == {math.ceil(f.bounds.hi - f.lo) - 1}
 
 
 class TestAnchorCost:

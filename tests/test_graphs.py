@@ -11,10 +11,15 @@ from hypothesis import given, strategies as st
 from lipfilter import (
     BudgetExceeded,
     ExplicitGraph,
+    ExprFunction,
     Hypercube,
     Hypergrid,
+    Interval,
+    InvalidParam,
+    LocalFilterL0,
     OutOfDomain,
     PartialFunction,
+    Seed,
     TableFunction,
     graph_to_json,
     is_c_lipschitz,
@@ -22,6 +27,8 @@ from lipfilter import (
     random_vertex,
 )
 from lipfilter.graphs import _BallMixin
+
+from helpers import random_connected_graph
 
 
 class BfsHypercube(Hypercube):
@@ -35,14 +42,14 @@ class BfsHypercube(Hypercube):
     *(Hypercube(d) for d in range(1, 5)),
 ], ids=repr)
 def test_max_degree_is_largest_neighbourhood(g):
-    assert g.max_degree == max(len(g.neighbors(x)) for x in g.vertices())
+    # two neighbours per coordinate at an inner point, one when n = 2
+    assert max(len(g.neighbors(x)) for x in g.vertices()) == min(g.n - 1, 2) * g.d
 
 
 class TestHypergrid:
     def test_basics(self):
         g = Hypergrid(3, 2)
         assert g.n_vertices == 9
-        assert g.max_degree == 4
         assert g.diameter == 4
         assert list(g.vertices())[0] == (1, 1)
         assert len(list(g.vertices())) == 9
@@ -60,7 +67,6 @@ class TestHypergrid:
     def test_degenerate_single_point(self):
         g = Hypergrid(1, 3)
         assert g.n_vertices == 1
-        assert g.max_degree == 0
         assert g.neighbors((1, 1, 1)) == []
 
     def test_check_vertex(self):
@@ -103,7 +109,6 @@ class TestHypercube:
     def test_basics(self):
         g = Hypercube(3)
         assert g.n_vertices == 8
-        assert g.max_degree == 3
         assert g.diameter == 3
         assert g.n == 2
 
@@ -162,7 +167,7 @@ class TestHypercubeIsGrid:
         assert list(g.edges()) == [
             (x, x[:i] + (1,) + x[i + 1 :]) for x in cube for i in range(d) if x[i] == 0
         ]
-        assert (g.n_vertices, g.max_degree, g.diameter) == (2**d, d, d)
+        assert (g.n_vertices, g.diameter) == (2**d, d)
 
 
 class TestFromCanon:
@@ -208,15 +213,18 @@ class TestBall:
             ((1, 0, 0), 1),
         ]
 
-    def test_closed_vs_open_limits(self):
+    def test_closed_int_radius_only(self):
         g = Hypercube(4)
         x = (0, 0, 0, 0)
-        # closed ball truncates at floor(radius), open at ceil(radius) - 1
-        assert len(g.ball(x, Fraction(3, 2))) == 5
-        assert len(g.ball(x, Fraction(3, 2), open_=True)) == 5
         assert len(g.ball(x, 2)) == 11
-        assert len(g.ball(x, 2, open_=True)) == 5
         assert len(g.ball(x, 0)) == 1
+        assert g.ball(x, -1) == []
+        for radius in (Fraction(3, 2), Fraction(2), 1.0, True, "1", None):
+            with pytest.raises(InvalidParam):
+                g.ball(x, radius)
+        for budget in (None, 11.0, True):
+            with pytest.raises(InvalidParam):
+                g.ball(x, 2, budget=budget)
 
     def test_budget(self):
         g = Hypercube(4)
@@ -231,47 +239,47 @@ class TestBall:
             Hypercube(32).ball(x, 59, budget=10)
 
     def test_budget_error_names_radius_walked(self):
-        # an open fractional radius walks ceil(radius) - 1; the message
-        # names that integer, not the fraction it came from
-        radius = Fraction(8988413359832905, 281474976710656)  # about 31.93
-        with pytest.raises(BudgetExceeded, match=r", 31\) "):
-            Hypercube(32).ball((0,) * 32, radius, open_=True, budget=10)
+        # the l0 extension around a matched x walks the closed ball of
+        # radius ceil(bounds.hi - lo) - 1 = ceil(2 + 299/10) - 1 = 31 on a
+        # parity restricted to a window reaching far below its values
+        g = Hypercube(32)
+        parity = ExprFunction(g, "2*(sum() - 2*floor(1/2*sum()))", 2)
+        f = parity.restrict(Interval(Fraction(-299, 10), Fraction(319, 10)))
+        filt = LocalFilterL0(g, f, Seed.from_int(0))
+        x = (0,) * 32
+        assert filt.match_of(x) is not None
+        with pytest.raises(BudgetExceeded, match=r"^ball\(0{32}, 31\) "):
+            filt.value(x)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hypercube_equals_bfs(self, d):
+        # every integer radius up to past the diameter, with the budget
+        # verdict at the ball's size and one below it
         g, ref = Hypercube(d), BfsHypercube(d)
-        radii = [Fraction(k, 2) for k in range(2 * d + 3)]  # 0, 1/2, ..., d + 1
         for x in g.vertices():
-            for radius in radii:
-                for open_ in (False, True):
-                    want = ref.ball(x, radius, open_=open_)
-                    assert g.ball(x, radius, open_=open_) == want
+            for radius in range(d + 2):
+                want = ref.ball(x, radius)
+                assert g.ball(x, radius, budget=len(want)) == want
+                with pytest.raises(BudgetExceeded):
+                    g.ball(x, radius, budget=len(want) - 1)
 
     @pytest.mark.parametrize("d", [7, 8, 9, 15, 16, 17])
     def test_hypercube_equals_bfs_multibyte(self, d):
         # Past d = 8 a vertex is built from several bytes.  A centre's BFS
         # ball of radius d lists every smaller ball first, so the expected
-        # ball of each radius is a prefix of it.  Every radius gets the
-        # budget verdict at size - 1; each distinct ball is built once, at
-        # budget size.  Past d = 9 one centre: its BFS alone takes seconds.
+        # ball of each radius is a prefix of it.  Past d = 9 one centre:
+        # its BFS alone takes seconds.
         g, ref = Hypercube(d), BfsHypercube(d)
         rng = random.Random(d)
         for _ in range(3 if d <= 9 else 1):
             x = tuple(rng.randrange(2) for _ in range(d))
             whole = ref.ball(x, d)
             dists = [dist for _, dist in whole]
-            built = set()
-            for k in range(2 * d + 3):  # radii 0, 1/2, ..., d + 1
-                radius = Fraction(k, 2)
-                # the largest distance within k/2, closed and open
-                for open_, top in ((False, k // 2), (True, (k - 1) // 2)):
-                    want = whole[: bisect.bisect_right(dists, top)]
-                    if want:
-                        with pytest.raises(BudgetExceeded):
-                            g.ball(x, radius, open_=open_, budget=len(want) - 1)
-                    if top not in built:
-                        built.add(top)
-                        assert g.ball(x, radius, open_=open_, budget=len(want)) == want
+            for radius in range(d + 2):
+                want = whole[: bisect.bisect_right(dists, radius)]
+                assert g.ball(x, radius, budget=len(want)) == want
+                with pytest.raises(BudgetExceeded):
+                    g.ball(x, radius, budget=len(want) - 1)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hypercube_budget_verdict_equals_bfs(self, d):
@@ -297,12 +305,27 @@ class TestBall:
         assert time.perf_counter() - start < 0.5
 
     def test_membership_matches_dist(self):
-        g = Hypercube(4)
-        x = (0, 1, 1, 0)
-        for radius in range(5):
-            members = {v for v, _ in g.ball(x, radius)}
-            expect = {v for v in g.vertices() if g.dist(x, v) <= radius}
-            assert members == expect
+        cube = Hypercube(4)
+        grid = Hypergrid(4, 3)
+        explicit = random_connected_graph(random.Random(3), 20, extra=6)
+        for g, x in ((cube, (0, 1, 1, 0)), (grid, (2, 1, 4)), (explicit, 7)):
+            for radius in range(g.n_vertices.bit_length() + 6):
+                members = {v for v, _ in g.ball(x, radius)}
+                expect = {v for v in g.vertices() if g.dist(x, v) <= radius}
+                assert members == expect
+
+
+def floyd_warshall(n, edges):
+    """All-pairs hop distances, math.inf between components."""
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for u, v in edges:
+        dist[u][v] = dist[v][u] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
 
 
 class TestExplicitGraph:
@@ -312,6 +335,32 @@ class TestExplicitGraph:
         assert g.dist(0, 2) == 2
         assert g.dist(0, 3) is math.inf
         assert list(g.edges()) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dist_equals_floyd_warshall(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 16)
+        if seed % 2:
+            g = random_connected_graph(rng, n, extra=rng.randrange(n))
+        else:
+            # sparse random edges, none at vertex n - 1, which stays isolated
+            g = ExplicitGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n - 1)
+                                  if rng.random() < 1.5 / n])
+        want = floyd_warshall(n, g.edges())
+        assert [[g.dist(x, y) for y in range(n)] for x in range(n)] == want
+        assert (math.inf in want[-1]) == (seed % 2 == 0)
+
+    def test_bools_are_not_vertices(self):
+        g = ExplicitGraph(3, [(0, 1), (1, 2)])
+        for x in (True, False, 1.0):
+            assert not g.contains(x)
+            for call in (lambda: g.ball(x, 1), lambda: g.dist(x, 0),
+                         lambda: g.dist(0, x), lambda: g.neighbors(x)):
+                with pytest.raises(OutOfDomain):
+                    call()
+        g.dist(1, 2)  # a cached source still rejects True, which hashes as 1
+        with pytest.raises(OutOfDomain):
+            g.dist(True, 2)
 
     def test_validation(self):
         with pytest.raises(OutOfDomain):

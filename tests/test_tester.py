@@ -102,6 +102,10 @@ class TestMechanics:
         f = ExprFunction(g, "sum()", n * d)
         with pytest.raises(InvalidParam, match="hypercube, not Hypergrid"):
             tolerant_test(g, f, Fraction(1, 4), seed_of(0), m=200)
+        p = make_params(d, Fraction(1, 4), m=200)
+        for i in (0, 2):
+            with pytest.raises(InvalidParam, match="hypercube, not Hypergrid"):
+                tolerant_test_once(g, f, p, seed_of(i))
 
     def test_deterministic_for_seed(self):
         g, f = scaled_parity(8)
