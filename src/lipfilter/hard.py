@@ -117,9 +117,9 @@ def _random_at_distance(graph, a, dist, rng):
 
 
 def _check_params(graph, r, b):
-    if not (isinstance(r, int) and r >= 2 and r % 2 == 0):
+    if not (type(r) is int and r >= 2 and r % 2 == 0):
         raise InvalidParam("r must be an even integer >= 2")
-    if b not in (0, 1):
+    if not (type(b) is int and b in (0, 1)):
         raise InvalidParam("b must be 0 or 1")
     if not isinstance(graph, Hypergrid):
         raise InvalidParam("hard instances need a hypergrid-style domain")

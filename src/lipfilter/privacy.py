@@ -23,7 +23,7 @@ from .errors import InvalidParam, PartialFunction
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
 from .functions import parse_rational
-from .graphs import DEFAULT_SCAN_BUDGET, Hypergrid
+from .graphs import Hypergrid
 from .seeds import Seed
 
 
@@ -84,20 +84,23 @@ class FilterMechanism:
 class BinarySearchMechanism:
     """Estimate f(x) privately by noisy halving over the value range.
 
-    The search range is min(r, n*d); each probe i in 2..ceil(log2 r)
-    filters f restricted to [t - 2a, t + 2a] where a is the accuracy
-    radius, then takes a noised reading.  A reading inside the band
-    [t - a, t + a] is released immediately; otherwise the center t moves
-    by ceil(r / 2^i) toward the reading and the search continues.  Filter
-    sessions are cached per (probe, center) so repeated trials share
-    their scans.  An answer releases its noised value and its probe
-    count, a function of the noised readings.  On a grid no wider than
-    the window, a session reads the whole table when it opens, so the
-    values an answer reads, and so ``f.lookups``, do not depend on f(x);
-    elsewhere they do, and the time an answer takes depends on f near x
-    everywhere.  Work counts and timing are outside eps and for the
-    operator only.  An answer at a point where f(x) = ? raises
-    PartialFunction.
+    The search window is [L, L + r'] with r' = min(r, 2D), D the graph's
+    diameter (on a hypercube 2D = n*d).  A 1-Lipschitz f lies within D of
+    its value v0 at x0, the first vertex in canonical order, so on a grid
+    with 2D < r the window is anchored there: L = min(max(lo, v0 - D), hi
+    - 2D), with v0 read through f clipped to [lo, hi].  Elsewhere L = lo.
+    The anchor depends on f alone, not on the query, and a ? at x0
+    raises PartialFunction.  Each probe i in 2..ceil(log2 r') filters f
+    restricted to [t - 2a, t + 2a] where a is the accuracy radius, then
+    takes a noised reading.  A reading inside the band [t - a, t + a] is
+    released immediately; otherwise the center t moves by ceil(r' / 2^i)
+    toward the reading and the search continues.  Filter sessions are
+    cached per (probe, center) so repeated trials share their scans.  An
+    answer releases its noised value and its probe count, a function of
+    the noised readings.  The values an answer reads, and so
+    ``f.lookups``, and the time it takes depend on f near x on every
+    graph; they are outside eps and for the operator only.  An answer at a
+    point where f(x) = ? raises PartialFunction.
     """
 
     def __init__(self, graph, f, eps, seed: Seed):
@@ -107,12 +110,21 @@ class BinarySearchMechanism:
 
         r = f.r
         if isinstance(graph, Hypergrid):
-            r = min(r, Fraction(graph.n * graph.d))
+            r = min(r, Fraction(2 * graph.diameter))
         if r < 2:
             raise InvalidParam("search needs range at least 2")
+        lo = f.lo
+        if r < f.r:
+            x0 = next(graph.vertices())
+            v0 = f.clip(f.lo, f.hi).lookup(x0)
+            if v0 is None:
+                raise PartialFunction(
+                    f"binary search needs a defined anchor; f({graph.canon(x0)}) = ?")
+            lo = min(max(lo, v0 - graph.diameter), f.hi - r)
         self.graph = graph
         self.f = f
         self.seed = seed
+        self.lo = lo
         self.r = r
         self.kappa = math.log2(r)
         # accuracy radius: (1/eps) log2(r) log2(200 log2 r)
@@ -132,22 +144,10 @@ class BinarySearchMechanism:
         key = (i, t)
         sess = self._sessions.get(key)
         if sess is None:
-            lo = self.f.lo
+            lo = self.lo
             f_i = self.f.clip(max(lo, lo + t - 2 * self.alpha),
                               min(lo + self.r, lo + t + 2 * self.alpha))
             sess = LocalFilterL0(self.graph, f_i, self.seed.derive("search", i))
-            # A scan walks only as far as f(x)'s distance to the window's
-            # ends allows, so without this the values the first answers
-            # read would depend on where x and f(x) sit.  When the window
-            # is as wide as the grid's diameter, the table costs at most a
-            # few reads more than one full-radius scan; if it also fits the
-            # scan budget, the session reads it when it opens, and an
-            # answer then reads n^d values for each session it opens and
-            # nothing else.
-            graph = self.graph
-            if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
-                    and graph.n_vertices <= DEFAULT_SCAN_BUDGET):
-                sess.read_table()
             self._sessions[key] = sess
         return sess
 
@@ -161,7 +161,7 @@ class BinarySearchMechanism:
             if g is None:
                 raise PartialFunction(
                     f"binary search needs a defined value; f({self.graph.canon(x)}) = ?")
-            g -= self.f.lo
+            g -= self.lo
             reading = g if noise is None else g + noise.laplace(self.noise_scale)
             if t - self.alpha <= reading <= t + self.alpha:
                 break  # reading certified close; release it as is
@@ -170,4 +170,4 @@ class BinarySearchMechanism:
                 t = min(self.r, t + step)
             else:
                 t = max(Fraction(0), t - step)
-        return MechanismResult(value=self.f.lo + reading, iterations=count)
+        return MechanismResult(value=self.lo + reading, iterations=count)

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import PartialFunction
 from .functions import ValueMemo
-from .graphs import DEFAULT_SCAN_BUDGET
 
 
 def violation_score(graph, f, x, y) -> Fraction:
@@ -38,18 +37,17 @@ def violation_score(graph, f, x, y) -> Fraction:
     return max(Fraction(0), abs(fx - fy) - d)
 
 
-def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
-                          budget=DEFAULT_SCAN_BUDGET, upward=False):
+def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
     """{y: score} for every y whose violation score against x exceeds
     ``tau`` (>= 0), in ball order, with every score a Fraction.
 
     ``lookup`` is any callable vertex -> Fraction | None whose defined
     values all lie in the Interval ``bounds`` = [lo, hi]; the scan trusts
     that and does not check it.  No such y sits farther than
-    ceil(max(hi - f(x), f(x) - lo) - tau) - 1, so that is the ball walked,
-    and ``budget`` applies to it.  With ``upward=True`` only the y with
-    f(y) > f(x) are kept; none sits farther than ceil(hi - f(x) - tau) - 1,
-    so that smaller ball is walked, and ``budget`` applies to it instead.
+    ceil(max(hi - f(x), f(x) - lo) - tau) - 1, so that is the ball walked.
+    With ``upward=True`` only the y with f(y) > f(x) are kept; none sits
+    farther than ceil(hi - f(x) - tau) - 1, so that smaller ball is walked.
+    Either ball is held to the ball layer's vertex budget.
     """
     fx = lookup(x)
     if fx is None:
@@ -76,7 +74,7 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds,
     # rejected before tau is looked at, and only kept scores become
     # Fractions.
     out = {}
-    for y, d in graph.ball(x, radius, budget=budget):
+    for y, d in graph.ball(x, radius):
         if d == 0:
             continue
         fy = lookup(y)

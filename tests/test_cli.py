@@ -176,6 +176,17 @@ class TestMechanism:
         assert out["iterations"] >= 1
         assert set(out) == {"iterations", "noise_seed", "query", "seed", "value"}
 
+    def test_binary_search_offset_client(self, capsys):
+        # every value sits far above 0; the search window is anchored at
+        # f(00000000) = 50, so f(10101010) = 54 is found
+        code, out = run(capsys, [
+            "mechanism", "--binary-search", "--expr", "sum() + 50",
+            "--domain", "cube:8", "--range", "100", "--eps", "1",
+            "--query", "10101010", "--no-noise", "--seed", SEED,
+        ])
+        assert code == 0
+        assert out["value"] == "54"
+
     @pytest.mark.parametrize("argv, value", [
         (["--domain", "cube:4", "--range", "2", "--query", "1111"], "2"),
         (["--binary-search", "--domain", "cube:6", "--range", "3",

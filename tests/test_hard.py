@@ -34,6 +34,13 @@ class TestValidation:
         with pytest.raises(InvalidParam):
             sample_hard_instance(g, 2, 0, seed_of(0), m=0)
 
+    def test_bool_b_rejected(self):
+        # a bool b would be written as true or false, which the reader rejects
+        g = Hypercube(6)
+        for bad in (True, False):
+            with pytest.raises(InvalidParam, match="b must be 0 or 1"):
+                sample_hard_instance(g, 2, bad, seed_of(0), m=2)
+
     def test_r_beyond_diameter(self):
         g = Hypercube(4)
         with pytest.raises(InvalidParam):

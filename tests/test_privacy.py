@@ -127,7 +127,7 @@ class TestBinarySearchMechanism:
         g = Hypercube(8)
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 10**6)
         mech = BinarySearchMechanism(g, f, 1, seed_of(0))
-        assert mech.r == 16  # n * d = 2 * 8
+        assert mech.r == 16  # 2 * diameter = 2 * 8
         assert list(mech._probes()) == [2, 3, 4]
 
     def test_alpha_frozen(self):
@@ -144,6 +144,18 @@ class TestBinarySearchMechanism:
         ref = BinarySearchMechanism(g, clipped, 1, seed_of(6))
         for x in g.vertices():
             assert mech.answer(x).value == ref.answer(x).value
+
+    def test_anchored_window_stays_in_range(self):
+        # c + sum() leaves [0, 20] at one end; the anchor f(0000) = c, read
+        # clipped, sits within D = 4 of that end, so the window [L, L + 8]
+        # is moved inside [0, 20] and the answers are clipped to it
+        g = Hypercube(4)
+        for c, lo in [(18, 12), (-2, 0)]:
+            f = CallableFunction(g, lambda x: Fraction(c + sum(x)), 20)
+            mech = BinarySearchMechanism(g, f, 1, seed_of(6))
+            assert (mech.lo, mech.r) == (lo, 8)
+            for x in g.vertices():
+                assert mech.answer(x).value == min(max(c + sum(x), 0), 20)
 
     def test_noise_free_returns_exact_value(self):
         rng = random.Random(0)
@@ -171,24 +183,26 @@ class TestBinarySearchMechanism:
             iterations.add(res.iterations)
         assert len(iterations) == 1
 
-    def test_lookups_do_not_reveal_the_value(self):
-        # Scans stop where f(x) can no longer be violated: without the
-        # table read, the first answer read 93 values at f(x) = 4 and 255
-        # at f(x) = 0 or 8.  With it, the first answer reads the whole
-        # table for every f(x), and a repeat reads nothing.
+    def test_first_answer_reads_the_ball_around_x(self):
+        # Scans stop where f(x) can no longer be violated: the first answer
+        # at f(x) = k reads the closed ball of radius max(8 - k, k) - 1
+        # around x, 93 values at k = 4 and 255 at k = 0 or 8, and a repeat
+        # reads nothing.
         g = Hypercube(8)
-        lookups = set()
+        sizes = []
         for k in range(9):
-            f = ExprFunction(g, "sum()", 8)
+            read = []
+            f = CallableFunction(g, lambda y: read.append(y) or sum(y), 8)
             mech = BinarySearchMechanism(g, f, 1, seed_of(2))
             x = (1,) * k + (0,) * (8 - k)
-            before = f.lookups
             first = mech.answer(x)
-            middle = f.lookups
+            ball = sorted(y for y, _ in g.ball(x, max(8 - k, k) - 1))
+            assert sorted(read) == ball
             again = mech.answer(x)
             assert first.value == again.value == k
-            lookups.add((middle - before, f.lookups - middle))
-        assert lookups == {(256, 0)}
+            assert sorted(read) == ball
+            sizes.append(len(ball))
+        assert sizes[0] == sizes[8] == 255 and sizes[4] == 93
 
     def test_undefined_point_raises(self):
         g = Hypercube(4)
@@ -198,6 +212,36 @@ class TestBinarySearchMechanism:
         with pytest.raises(PartialFunction, match=r"f\(0000\) = \?"):
             mech.answer((0,) * 4)
         assert mech.answer((0, 0, 0, 1)).value == 2
+
+    def test_undefined_anchor_raises(self):
+        # the window is narrower than r, so it is anchored at f(0000)
+        g = Hypercube(4)
+        f = TableFunction(g, {x: None if x == (0,) * 4 else 12
+                              for x in g.vertices()}, 20)
+        with pytest.raises(PartialFunction, match=r"f\(0000\) = \?"):
+            BinarySearchMechanism(g, f, 1, seed_of(0))
+
+    @pytest.mark.parametrize("graph, expr, r", [
+        (Hypercube(10), "sum() + 37", 80),
+        (Hypergrid(6, 3), "x1 + x2 + x3 + 40", 90),
+    ], ids=["cube", "grid"])
+    def test_offset_clients_answered(self, graph, expr, r):
+        # Every value sits far above lo, so a window [lo, lo + 2D] would
+        # miss them all; the one anchored at f's first vertex covers them.
+        f = ExprFunction(graph, expr, r)
+        mech = BinarySearchMechanism(graph, f, 10, seed_of(7))
+        rng = random.Random(7)
+        points = [tuple(rng.randrange(graph.base, graph.base + graph.n)
+                        for _ in range(graph.d)) for _ in range(10)]
+        for x in points:
+            assert mech.answer(x).value == f.lookup(x)
+        noise = NoiseSource(seed_of(8))
+        hits = sum(
+            abs(float(mech.answer(x, noise).value) - float(f.lookup(x)))
+            <= float(mech.alpha)
+            for x in points * 5
+        )
+        assert hits >= 48
 
     def test_noisy_answers_near_truth(self):
         rng = random.Random(2)

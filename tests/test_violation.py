@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipfilter import (
+    DEFAULT_SCAN_BUDGET,
     DEFAULT_SLACK,
     BudgetExceeded,
     ExplicitGraph,
@@ -79,11 +80,14 @@ class TestScan:
         assert scan_scored_neighbors(g, f.lookup, 0, tau=0, bounds=f.bounds) == {}
 
     def test_budget(self):
-        g = Hypergrid(4, 4)
-        f = TableFunction(g, {x: 0 for x in g.vertices()}, 4)
-        with pytest.raises(BudgetExceeded, match=r"ball\(1111, 3\)"):
-            scan_scored_neighbors(g, f.lookup, (1, 1, 1, 1), tau=0,
-                                  bounds=f.bounds, budget=3)
+        # the scan's ball is held to the ball layer's vertex budget: on the
+        # 18-cube the ball of radius 11 has 230,964 vertices
+        g = Hypercube(18)
+        x = (0,) * 18
+        with pytest.raises(BudgetExceeded, match=rf"ball\(0{{18}}, 11\) exceeded "
+                                                 rf"vertex budget {DEFAULT_SCAN_BUDGET}$"):
+            scan_scored_neighbors(g, {x: Fraction(6)}.get, x, tau=0,
+                                  bounds=Interval.of(0, 18))
 
 
 CUBE4 = Hypercube(4)
@@ -310,12 +314,16 @@ class TestScanCap:
         assert self.walked(monkeypatch, Fraction(3, 2)) == [(2, 1 + 8 + 28)]
 
     def test_budget_applies_to_the_capped_ball(self):
-        g = self.CUBE8
-        f = ExprFunction(g, "sum()", 8)
-        for tau, radius, size in [(0, 3, 93), (Fraction(3, 2), 2, 37)]:
-            assert scan_scored_neighbors(g, f.lookup, self.MID, tau=tau,
-                                         bounds=f.bounds, budget=size) == {}
-            with pytest.raises(BudgetExceeded,
-                               match=rf"ball\(11110000, {radius}\)"):
-                scan_scored_neighbors(g, f.lookup, self.MID, tau=tau,
-                                      bounds=f.bounds, budget=size - 1)
+        # The budget holds the ball the scan walks, not the whole range's:
+        # on the 18-cube a centre at 6 or 12 of [0, 18] scans radius 11,
+        # 230,964 vertices, over the budget, but radius 5 at tau = 6 or
+        # upward from 12, 12,616 vertices.
+        g = Hypercube(18)
+        x = (0,) * 18
+        wide = Interval.of(0, 18)
+        for fx, tau, upward in [(6, 6, False), (12, 0, True)]:
+            lookup = {x: Fraction(fx)}.get
+            assert scan_scored_neighbors(g, lookup, x, tau=tau, bounds=wide,
+                                         upward=upward) == {}
+            with pytest.raises(BudgetExceeded, match=r"ball\(0{18}, 11\)"):
+                scan_scored_neighbors(g, lookup, x, tau=0, bounds=wide)
