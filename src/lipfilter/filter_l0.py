@@ -75,8 +75,10 @@ class LocalFilterL0:
     computation for every query order.  The session memo is a dict of f's
     values that reads f on a miss, so f is read once per distinct vertex;
     scans read it through its ``__getitem__``, which makes a hit one dict
-    access.  The floor and the bounds are the oracle's; wrap it with
-    ``clip`` for others.
+    access, and ``read`` hands it to callers.  Answers are memoized per
+    vertex too, as the matching's partners are, so a repeated query walks
+    no ball and opens no edge.  The floor and the bounds are the oracle's;
+    wrap it with ``clip`` for others.
     """
 
     def __init__(self, graph, f, seed: Seed):
@@ -85,6 +87,7 @@ class LocalFilterL0:
         self.lo = f.lo
         self.bounds = f.bounds
         self._values = ValueMemo(f)
+        self._answers: dict = {}
         self._matcher = MatchingLCA(self._viol_adjacent, seed, encode=graph.canon)
 
     def _viol_adjacent(self, v):
@@ -100,10 +103,22 @@ class LocalFilterL0:
     def match_of(self, x):
         return self._matcher.match_of(x)
 
+    def read(self, x):
+        """f(x) as this session reads it: from the memo, or from f once."""
+        return self._values[x]
+
     def value(self, x):
         """g(x).  Undefined exactly where f is undefined."""
         # a memo hit skips f's vertex check, and (0.0, True) would hit (0, 1)
         self.graph.check_vertex(x)
+        try:
+            return self._answers[x]
+        except KeyError:
+            pass
+        g = self._answers[x] = self._value(x)
+        return g
+
+    def _value(self, x):
         values = self._values
         fx = values[x]
         if self.match_of(x) is None:

@@ -146,26 +146,32 @@ class ValueMemo(dict):
 
 
 class TableFunction(FunctionOracle):
-    """Dense or defaulted table of values, validated at construction."""
+    """Dense or defaulted table of values, validated at construction.
+
+    Each entry is checked once: its vertex, then its value's parse and
+    range.  ``load_function`` decodes a document's keys, which checks
+    them, and stores each entry with ``_put``.
+    """
 
     checks_range = False
 
     def __init__(self, graph, values: dict, r, *, default="?", lo=0):
         super().__init__(graph, r, lo=lo)
         self.default = parse_value(default)
-        lo, hi = self.lo, self.hi
-        table = {}
+        if self.default is not None and not (self.lo <= self.default <= self.hi):
+            raise RangeViolation(f"default value {self.default} out of range")
+        self._table = {}
         for x, v in values.items():
             graph.check_vertex(x)
-            v = parse_value(v)
-            if v is not None and not (lo <= v <= hi):
-                raise RangeViolation(
-                    f"table value f({graph.canon(x)}) = {v} outside [{lo}, {hi}]"
-                )
-            table[x] = v
-        if self.default is not None and not (lo <= self.default <= hi):
-            raise RangeViolation(f"default value {self.default} out of range")
-        self._table = table
+            self._put(x, parse_value(v))
+
+    def _put(self, x, v) -> None:
+        """Store the parsed value ``v`` at the vertex ``x``, which the caller
+        has checked; RangeViolation outside [lo, hi]."""
+        if v is not None and not (self.lo <= v <= self.hi):
+            raise RangeViolation(f"table value f({self.graph.canon(x)}) = {v} "
+                                 f"outside [{self.lo}, {self.hi}]")
+        self._table[x] = v
 
     def _value(self, x):
         return self._table.get(x, self.default)
@@ -287,8 +293,8 @@ def load_function(source) -> tuple:
     "default": "p/q" | "?"}.  ``source`` is a dict, JSON text, or a path.
     Keys decode through the graph's ``from_canon``, and each distinct value
     is parsed once: entries with equal values share one Fraction.  Entries
-    are read in document order, key before value, so an error names the
-    first bad entry.
+    are read and checked once each, in document order, key before value, so
+    an error names the first bad entry.
     """
     data = read_json(source, "function")
     try:
@@ -300,19 +306,17 @@ def load_function(source) -> tuple:
     values = data.get("values", {})
     if not isinstance(values, dict):
         raise InvalidParam(f"function values must be a JSON object, got {values!r}")
+    f = TableFunction(graph, {}, parse_rational(r), default=data.get("default", "?"))
     parsed = {}  # JSON value -> its Fraction or None, for this document only
-    table = {}
     for k, v in values.items():
         x = graph.from_canon(k)
         try:
-            table[x] = parsed[v]
+            fv = parsed[v]
         except KeyError:
-            table[x] = parsed[v] = parse_value(v)
+            fv = parsed[v] = parse_value(v)
         except TypeError:  # a JSON list or object, which parse_value rejects
-            table[x] = parse_value(v)
-    f = TableFunction(
-        graph, table, parse_rational(r), default=data.get("default", "?")
-    )
+            fv = parse_value(v)
+        f._put(x, fv)
     return graph, f
 
 

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import operator
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidParam, OutOfDomain
@@ -93,24 +92,26 @@ class _BallMixin:
 
     def _ball(self, x, radius: int, budget: int):
         """Sorted ball of ``radius`` >= 0, or None past ``budget``."""
-        out = [(x, 0)]
+        # BFS a layer at a time: each layer is sorted on its own, so the
+        # ball comes out in (distance, vertex) order with no global sort
         seen = {x}
-        queue = deque([(x, 0)])
-        while queue:
-            # every collected vertex is queued, so this also sees the last
-            if len(out) > budget:
-                return None
-            v, d = queue.popleft()
-            if d == radius:
-                continue
-            for w in self.neighbors(v):
-                if w in seen:
-                    continue
-                seen.add(w)
-                out.append((w, d + 1))
-                queue.append((w, d + 1))
-        out.sort(key=lambda p: (p[1], p[0]))
-        return out
+        out = [(x, 0)]
+        layer = [x]
+        d = 0
+        while layer and d < radius and len(seen) <= budget:
+            d += 1
+            nxt = []
+            for v in layer:
+                for w in self.neighbors(v):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+                if len(seen) > budget:
+                    break
+            nxt.sort()
+            out += zip(nxt, itertools.repeat(d))
+            layer = nxt
+        return out if len(seen) <= budget else None
 
 
 class Hypergrid(_BallMixin):

@@ -4,9 +4,9 @@ Every edge gets a pseudorandom rank from the seed.  An edge is matched iff
 every adjacent edge of smaller rank is unmatched; this recursion is
 well-founded because ranks strictly decrease along it, and it is explored
 in ascending rank, stopping at the first matched blocker (the local
-simulation of Yoshida, Yamamoto and Ito, STOC 2009).  Verdicts depend
-only on the seed and the graph, never on query order, and are memoized per
-instance.
+simulation of Yoshida, Yamamoto and Ito, STOC 2009).  Verdicts and
+partners depend only on the seed and the graph, never on query order, and
+both are memoized per instance.
 
 The neighbor oracle must be symmetric (y in nbrs(x) iff x in nbrs(y));
 violation-graph oracles built in this package are.
@@ -30,7 +30,9 @@ class MatchingLCA:
     once.  ``match_of`` walks that list; the blockers of an edge are the
     entries of smaller rank in its endpoints' lists.  Every edge whose
     verdict a ``match_of`` query has to compute counts once against
-    ``budget``; memoized verdicts are free.
+    ``budget``; memoized verdicts are free.  Each vertex's partner is
+    memoized once its query finishes, so a repeated query is one dict
+    read, and a query that runs out of budget leaves no partner behind.
 
     Args:
         neighbors: callable vertex -> iterable of adjacent vertices.
@@ -48,6 +50,7 @@ class MatchingLCA:
         self._incident_of: dict = {}  # vertex -> [(rank, edge)], ascending
         self._ranks: dict = {}
         self._verdict: dict = {}
+        self._partner: dict = {}  # vertex -> partner or None
         self._lock = threading.RLock()
 
     def _incident(self, v) -> list:
@@ -99,11 +102,18 @@ class MatchingLCA:
     def match_of(self, x):
         """Partner of ``x`` in the matching, or None if unmatched."""
         with self._lock:
+            try:
+                return self._partner[x]
+            except KeyError:
+                pass
             self._used = 0
+            partner = None
             for rank, e in self._incident(x):
                 if self._eval(rank, e):
-                    return e[1] if e[0] == x else e[0]
-            return None
+                    partner = e[1] if e[0] == x else e[0]
+                    break
+            self._partner[x] = partner
+            return partner
 
 
 def greedy_maximal_matching(edges, seed: Seed, *, encode) -> dict:

@@ -5,7 +5,9 @@ value for t = 2 sqrt(d log2(d/eps)), so restricting f to that window and
 filtering changes few points.  A function far from Lipschitz keeps many
 violated pairs inside any window, so the filter must rewrite a constant
 fraction.  The tester estimates the rewritten fraction from m uniform
-samples and compares it against 2.005 eps.  The window is the cube's
+samples and compares it against 2.005 eps.  The samples are compared with
+the values the filter session read, so f is read once per distinct vertex
+the session visits, plus once at the pivot.  The window is the cube's
 concentration bound, so any other domain is rejected: a Lipschitz
 function on a wider grid can spread past it and be rejected.
 """
@@ -82,8 +84,10 @@ def tolerant_test_once(graph, f, params: TesterParams, seed: Seed):
     changed = 0
     for _ in range(params.m):
         x = random_vertex(graph, rng)
+        # g is defined iff f_I(x) is, and then f_I(x) = f(x), so the value
+        # the session read at x is the one to compare with
         g = filt.value(x)
-        if g is None or g != f.lookup(x):
+        if g is None or g != filt.read(x):
             changed += 1
     estimate = Fraction(changed, params.m)
     return estimate <= params.threshold, estimate

@@ -155,6 +155,23 @@ class TestLocal:
         assert filt.table() == first
         assert f.lookups == g.n_vertices
 
+    def test_answers_memoized(self, monkeypatch):
+        # a matched vertex's first answer walks a ball; its second is read
+        g = Hypercube(6)
+        rng = random.Random(9)
+        f = TableFunction(g, {x: rng.randrange(4) for x in g.vertices()}, 3)
+        filt = LocalFilterL0(g, f, seed_of(4))
+        x = next(v for v in g.vertices() if filt.match_of(v) is not None)
+        first = filt.value(x), filt.match_of(x)
+        work = []
+        for owner, name in [(g, "ball"), (filt._matcher, "_eval"), (filt._matcher, "_open")]:
+            def record(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                work.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, record)
+        assert (filt.value(x), filt.match_of(x)) == first
+        assert work == []
+
     def test_memo_hit_still_checks_the_vertex(self):
         g = Hypercube(3)
         f = TableFunction(g, {x: sum(x) for x in g.vertices()}, 3)

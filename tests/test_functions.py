@@ -322,6 +322,22 @@ class TestJson:
         with pytest.raises(error, match=match):
             load_function(doc)
 
+    def test_each_key_checked_once(self, monkeypatch):
+        checked = []
+        contains = Hypercube.contains
+
+        def counted(self, x):
+            checked.append(x)
+            return contains(self, x)
+
+        monkeypatch.setattr(Hypercube, "contains", counted)
+        g = Hypercube(10)
+        doc = {"domain": {"kind": "hypercube", "d": 10}, "r": "1",
+               "values": {g.canon(x): "1" for x in g.vertices()}}
+        _, f = load_function(doc)
+        assert len(checked) == 1024
+        assert f.lookup((0,) * 10) == 1
+
     def test_each_distinct_value_text_parsed_once(self, monkeypatch):
         texts = []
         parse = functions.parse_rational

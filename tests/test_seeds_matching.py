@@ -127,6 +127,22 @@ class TestMatchingLCA:
         second = [lca.match_of(x) for x in g.vertices()]
         assert first == second
 
+    def test_partner_memoized_only_when_found(self, monkeypatch):
+        g = random_connected_graph(random.Random(5), 40, extra=30)
+        ref = greedy_maximal_matching(g.edges(), seed_of(5), encode=g.canon)
+        lca = self.lca(g, seed_of(5), budget=2)
+        x = next(v for v in g.vertices() if v in ref)
+        with pytest.raises(BudgetExceeded):
+            for v in g.vertices():
+                lca.match_of(v)
+        # a query cut short left no partner: with room, every answer is right
+        lca._budget = 10_000
+        assert [lca.match_of(v) for v in g.vertices()] == [ref.get(v) for v in g.vertices()]
+        # a second query is a memo hit: no verdict is looked at again
+        looked = []
+        monkeypatch.setattr(lca, "_eval", lambda *a: looked.append(a))
+        assert lca.match_of(x) == ref[x] and looked == []
+
     # (graph, seed, smallest budget that answers every vertex in order)
     BOUNDARIES = [
         ("random 40", lambda: random_connected_graph(random.Random(4), 40, extra=30), 4, 10),

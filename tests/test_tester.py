@@ -114,6 +114,23 @@ class TestMechanics:
         b = tolerant_test_once(g, f, p, seed_of(5))
         assert a == b
 
+    def test_reads_each_vertex_once(self):
+        # the samples are compared with the values the session read; only
+        # the pivot, read first, may be read again by the session
+        g = Hypercube(6)
+        reads = []
+
+        def parity(x):
+            reads.append(x)
+            return Fraction(2 * (sum(x) % 2))
+
+        f = CallableFunction(g, parity, 2)
+        ok, estimate = tolerant_test_once(
+            g, f, make_params(6, Fraction(1, 10), m=200), seed_of(3))
+        assert not ok and estimate > 0
+        rest = reads[1:]
+        assert len(rest) == len(set(rest)) == f.lookups - 1
+
     def test_partial_pivot_rejected(self):
         g = Hypercube(4)
         f = TableFunction(g, {}, 2)  # default "?" everywhere
