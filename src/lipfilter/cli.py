@@ -56,6 +56,17 @@ def _parse_domain(spec: str):
     return load_graph(spec)
 
 
+def _cap(text: str) -> int:
+    """An argparse type for a search cap: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _parse_seed(text: str | None) -> Seed:
     if text is None:
         return Seed.random()
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact distances for small inputs")
     _add_fn_args(p)
-    p.add_argument("--l0-cap", type=int, default=None,
+    p.add_argument("--l0-cap", type=_cap, default=None,
                    help="search node cap for the cover computation")
     p.add_argument("--no-l1", action="store_true")
     p.add_argument("--witness", action="store_true",
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--pairs", type=int, default=8)
-    p.add_argument("--retry-cap", type=int, default=1000)
+    p.add_argument("--retry-cap", type=_cap, default=1000)
     p.add_argument("--seed")
     p.add_argument("--values", action="store_true",
                    help="also emit the full value table")

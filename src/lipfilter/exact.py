@@ -26,8 +26,11 @@ def min_vertex_cover(edges, *, cap=None):
     Branch and bound: branch on the endpoints of the first uncovered edge,
     prune with a greedy-matching lower bound.  Deterministic for a fixed
     edge list.  `cap` bounds the number of search nodes; exceeding it
-    raises CapExceeded.
+    raises CapExceeded.  A cap that is not an int of at least 1 (a bool
+    included) raises InvalidParam before any search.
     """
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise InvalidParam(f"cover search cap must be an int >= 1, got {cap!r}")
     norm = sorted({(u, v) if u <= v else (v, u) for u, v in edges})
     for u, v in norm:
         if u == v:

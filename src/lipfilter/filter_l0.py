@@ -72,13 +72,16 @@ class LocalFilterL0:
     best, asks the matching only about a y with f(y) - d > best, and stops
     at the first y with bhi - d <= best.  Scans take f.bounds too.  Caches
     inside a session are logically transparent: answers equal a fresh
-    computation for every query order.  The session memo is a dict of f's
-    values that reads f on a miss, so f is read once per distinct vertex;
-    scans read it through its ``__getitem__``, which makes a hit one dict
-    access, and ``read`` hands it to callers.  Answers are memoized per
-    vertex too, as the matching's partners are, so a repeated query walks
-    no ball and opens no edge.  The floor and the bounds are the oracle's;
-    wrap it with ``clip`` for others.
+    computation for every query order.  Inside the session every vertex is
+    its id (see ``graphs``): the memo, the answers, the scans and the
+    matching all key by id, and each public method converts its vertex
+    once.  The session memo is a dict of f's values by id that reads f on
+    a miss, so f is read once per distinct vertex; scans read it through
+    its ``__getitem__``, which makes a hit one dict access, and ``read``
+    hands it to callers.  Answers are memoized per vertex too, as the
+    matching's partners are, so a repeated query walks no ball and opens
+    no edge.  The floor and the bounds are the oracle's; wrap it with
+    ``clip`` for others.
     """
 
     def __init__(self, graph, f, seed: Seed):
@@ -86,9 +89,9 @@ class LocalFilterL0:
         self.f = f
         self.lo = f.lo
         self.bounds = f.bounds
-        self._values = ValueMemo(f)
+        self._values = ValueMemo(lambda i: f.lookup(graph.vertex(i)))
         self._answers: dict = {}
-        self._matcher = MatchingLCA(self._viol_adjacent, seed, encode=graph.canon)
+        self._matcher = MatchingLCA(self._viol_adjacent, seed, encode=graph.canon_of)
 
     def _viol_adjacent(self, v):
         # the matcher caches adjacency, so each vertex is scanned once
@@ -98,30 +101,33 @@ class LocalFilterL0:
     def read_table(self):
         """Read f at every vertex into the session memo, so that no query
         reads f again.  Call it before the first query."""
-        self._values.update((x, self.f.lookup(x)) for x in self.graph.vertices())
+        self._values.update(enumerate(map(self.f.lookup, self.graph.vertices())))
 
     def match_of(self, x):
-        return self._matcher.match_of(x)
+        partner = self._matcher.match_of(self.graph.index(x))
+        return None if partner is None else self.graph.vertex(partner)
 
     def read(self, x):
         """f(x) as this session reads it: from the memo, or from f once."""
-        return self._values[x]
+        return self._values[self.graph.index(x)]
 
     def value(self, x):
         """g(x).  Undefined exactly where f is undefined."""
-        # a memo hit skips f's vertex check, and (0.0, True) would hit (0, 1)
-        self.graph.check_vertex(x)
+        return self._answer(self.graph.index(x))
+
+    def _answer(self, i):
         try:
-            return self._answers[x]
+            return self._answers[i]
         except KeyError:
             pass
-        g = self._answers[x] = self._value(x)
+        g = self._answers[i] = self._value(i)
         return g
 
-    def _value(self, x):
+    def _value(self, i):
         values = self._values
-        fx = values[x]
-        if self.match_of(x) is None:
+        match_of = self._matcher.match_of
+        fx = values[i]
+        if match_of(i) is None:
             return fx
         # One rule bounds the walk and stops it: f(y) <= hi = bounds.hi, so
         # a y at d >= hi - best scores at most best.  The ball, sorted by d,
@@ -133,14 +139,14 @@ class LocalFilterL0:
         best = self.lo
         bn, bd = best.numerator, best.denominator
         stop = math.ceil(hi - best)
-        for y, d in self.graph.ball(x, stop - 1):
+        for y, d in self.graph.ball(i, stop - 1):
             if d >= stop:
                 break
             fy = values[y]
             if fy is None:
                 continue
             c, e = fy.numerator, fy.denominator
-            if (c - d * e) * bd > bn * e and self.match_of(y) is None:
+            if (c - d * e) * bd > bn * e and match_of(y) is None:
                 best = fy - d
                 bn, bd = best.numerator, best.denominator
                 stop = math.ceil(hi - best)
@@ -148,7 +154,9 @@ class LocalFilterL0:
 
     def matched_set(self):
         """All matched vertices; a vertex cover of the violation graph."""
-        return {x for x in self.graph.vertices() if self.match_of(x) is not None}
+        match_of = self._matcher.match_of
+        return {x for i, x in enumerate(self.graph.vertices())
+                if match_of(i) is not None}
 
     def table(self) -> dict:
-        return {x: self.value(x) for x in self.graph.vertices()}
+        return {x: self._answer(i) for i, x in enumerate(self.graph.vertices())}

@@ -87,7 +87,9 @@ class LocalFilterL1:
     ``table(t)`` computes each round globally instead, from one store of
     scans at the final round's threshold (see ``table``).  It shares the
     round memos with ``value`` but not the scans, so the two can be mixed
-    in one session without changing any value.
+    in one session without changing any value.  The round memos, the
+    scans and the matchings key by vertex id (see ``graphs``); ``value``
+    and ``table`` take and return vertices.
     """
 
     def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK):
@@ -103,24 +105,24 @@ class LocalFilterL1:
 
     # -- round values ---------------------------------------------------
 
-    def _value(self, x, t: int) -> Fraction:
+    def _value(self, i, t: int) -> Fraction:
         memo = self._tables[t]
-        v = memo.get(x)
+        v = memo.get(i)
         if v is not None:
             return v
         if t == 1:
-            v = self.f.lookup(x)
+            v = self.f.lookup(self.graph.vertex(i))
             if v is None:
                 raise PartialFunction(
-                    f"filter needs a total function; f({self.graph.canon(x)}) = ?")
+                    f"filter needs a total function; f({self.graph.canon_of(i)}) = ?")
         else:
-            v = self._value(x, t - 1)
-            partner = self._matcher(t).match_of(x)
+            v = self._value(i, t - 1)
+            partner = self._matcher(t).match_of(i)
             if partner is not None:
                 w = self._value(partner, t - 1)
                 delta = self.schedule.delta(t)
                 v = v + delta if w > v else v - delta
-        memo[x] = v
+        memo[i] = v
         return v
 
     def _matcher(self, t: int) -> MatchingLCA:
@@ -137,7 +139,7 @@ class LocalFilterL1:
                     bounds=self.bounds))
 
             m = MatchingLCA(
-                adjacent, self.seed.derive("iter", t), encode=self.graph.canon)
+                adjacent, self.seed.derive("iter", t), encode=self.graph.canon_of)
             self._matchers[t] = m
         return m
 
@@ -151,9 +153,7 @@ class LocalFilterL1:
 
     def value(self, x, t: int | None = None) -> Fraction:
         """g_t(x); t defaults to the final round."""
-        # a memo hit skips f's vertex check, and (0.0, True) would hit (0, 1)
-        self.graph.check_vertex(x)
-        return self._value(x, self._round_arg(t))
+        return self._value(self.graph.index(x), self._round_arg(t))
 
     def table(self, t: int | None = None) -> dict:
         """Full table at round t, computing rounds in order.
@@ -180,7 +180,7 @@ class LocalFilterL1:
         """
         t = self._round_arg(t)
         rounds = self.schedule.rounds
-        vertices = list(self.graph.vertices())
+        ids = range(self.graph.n_vertices)
         final = self.schedule.final_threshold
         scans = self._scans
 
@@ -191,20 +191,20 @@ class LocalFilterL1:
 
         for s in range(self._done + 1, t + 1):
             if s == 1:
-                for x in vertices:
-                    self._value(x, 1)
+                for i in ids:
+                    self._value(i, 1)
                 self._done = 1
                 continue
             old = self._tables[s - 1]
             if s == 2 and self.schedule.r - final > 1:
-                for v in vertices:
+                for v in ids:
                     scans[v] = {}
-                for v in vertices:
+                for v in ids:
                     for y, score in scan(v, old, upward=True).items():
                         scans[v][y] = scans[y][v] = score
             partner = greedy_maximal_matching(
                 _pairs_above(scans, self.schedule.tau(s)),
-                self.seed.derive("iter", s), encode=self.graph.canon)
+                self.seed.derive("iter", s), encode=self.graph.canon_of)
             new = dict(old)
             delta = self.schedule.delta(s)
             for u, w in partner.items():
@@ -220,7 +220,8 @@ class LocalFilterL1:
                 scans[c] = scan(c, new)
                 for y, score in scans[c].items():
                     scans[y][c] = score
-        return {x: self._tables[t][x] for x in vertices}
+        table = self._tables[t]
+        return {x: table[i] for i, x in enumerate(self.graph.vertices())}
 
 
 def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
@@ -232,20 +233,21 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
     the list [g_1, ..., g_T].
     """
     schedule = make_schedule(f.r, slack)
-    current = {}
-    for x in graph.vertices():
+    vertices = list(graph.vertices())
+    current = []  # the values by id
+    for x in vertices:
         v = f.lookup(x)
         if v is None:
             raise PartialFunction(
                 f"filter needs a total function; f({graph.canon(x)}) = ?")
-        current[x] = v
-    tables = [dict(current)]
+        current.append(v)
+    tables = [dict(zip(vertices, current))]
     for t in range(2, schedule.rounds + 1):
         delta = schedule.delta(t)
         edges = [(x, y) for x, y, _ in _violated_pairs(
-            graph, current.get, tau=schedule.tau(t), bounds=f.bounds)]
+            graph, current.__getitem__, tau=schedule.tau(t), bounds=f.bounds)]
         partner = greedy_maximal_matching(
-            edges, seed.derive("iter", t), encode=graph.canon
+            edges, seed.derive("iter", t), encode=graph.canon_of
         )
         for u, v in partner.items():
             if u < v:
@@ -253,7 +255,7 @@ def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,
                 current[low] += delta
                 current[high] -= delta
         if trace:
-            tables.append(dict(current))
+            tables.append(dict(zip(vertices, current)))
     if trace:
         return tables
-    return current
+    return dict(zip(vertices, current))

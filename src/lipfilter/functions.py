@@ -133,15 +133,14 @@ class FunctionOracle:
 
 
 class ValueMemo(dict):
-    """f's values by vertex; a missing vertex is read with ``f.lookup``
-    once."""
+    """Values by key; a missing key is read with ``read(key)`` once."""
 
-    def __init__(self, f):
+    def __init__(self, read):
         super().__init__()
-        self.f = f
+        self.read = read
 
-    def __missing__(self, x):
-        v = self[x] = self.f.lookup(x)
+    def __missing__(self, key):
+        v = self[key] = self.read(key)
         return v
 
 

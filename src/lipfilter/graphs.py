@@ -6,9 +6,18 @@ hypercube, which is the hypergrid with n = 2 and coordinates from 0.
 Explicit graphs use integer ids.  Every graph exposes the same small
 surface: ``neighbors``, ``dist``, ``ball``, iteration, and a canonical
 string encoding used for ordering, hashing, and JSON keys, which
-``from_canon`` inverts exactly.  Hypercube balls are enumerated layer by
-layer as XORs of the centre, read as an int, with cached masks of each
-Hamming weight; the other graphs share a BFS ball.
+``from_canon`` inverts exactly.
+
+Every graph also numbers its vertices: ``index(x)`` and ``vertex(i)`` are
+inverse, order-preserving maps between the vertices and
+``range(n_vertices)``, and ``vertices()`` lists the vertices in id order.
+A product graph's id reads the coordinates, less ``base``, as the digits
+of a base-n number, coordinate 0 most significant; an explicit graph's
+ids are its vertices.  ``ball`` takes a centre's id and returns ids, so
+the filters' scans and memos work on ints and never build or hash a
+coordinate tuple.  Hypercube balls are enumerated layer by layer as XORs
+of the centre's id with cached masks of each Hamming weight; the other
+graphs share a BFS ball over an id adjacency.
 """
 from __future__ import annotations
 
@@ -27,9 +36,6 @@ DEFAULT_SCAN_BUDGET = 200_000
 
 _ZERO_ONE = frozenset((0, 1))
 _INT = frozenset((int,))
-# _BITS_OF[w][b]: the w bits of b < 2^w as a tuple, most significant first
-# (product counts in binary)
-_BITS_OF = [list(itertools.product((0, 1), repeat=w)) for w in range(9)]
 # canon of a 0/1 tuple: its bytes with 0 and 1 read as the digits
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # and back: the digits' bytes read as 0 and 1
@@ -41,20 +47,31 @@ class InvalidArgs(OutOfDomain):
 
 
 class _BallMixin:
-    """Vertex checks, canonical decoding, and balls with a vertex budget.
+    """Vertex and id checks, canonical decoding, and balls with a vertex
+    budget.
 
     ``check_vertex`` raises OutOfDomain unless the graph's ``contains``
-    accepts its argument.  ``from_canon`` inverts ``canon`` exactly: it
-    decodes through the graph's ``_decode`` and raises OutOfDomain unless
-    the result is a vertex whose ``canon`` gives the text back.  ``ball``
-    validates its arguments and hands them to ``_ball``; the default
-    ``_ball`` is a BFS over ``neighbors``, and a graph with a closed form
-    for its balls overrides ``_ball`` alone.
+    accepts its argument, and ``_check_id`` unless its argument is an int
+    id, not a bool, in ``range(n_vertices)``.  ``from_canon`` inverts
+    ``canon`` exactly: it decodes through the graph's ``_decode`` and
+    raises OutOfDomain unless the result is a vertex whose ``canon`` gives
+    the text back.  ``ball`` validates its arguments and hands them to
+    ``_ball``; the default ``_ball`` is a BFS over ``_id_neighbors``, the
+    ids adjacent to an id, and a graph with a closed form for its balls
+    overrides ``_ball`` alone.
     """
 
     def check_vertex(self, x) -> None:
         if not self.contains(x):
             raise OutOfDomain(f"{x!r} is not a vertex of {self!r}")
+
+    def _check_id(self, i) -> None:
+        if type(i) is not int or not 0 <= i < self.n_vertices:
+            raise OutOfDomain(f"{i!r} is not a vertex id of {self!r}")
+
+    def canon_of(self, i) -> str:
+        """``canon`` of the vertex whose id is ``i``."""
+        return self.canon(self.vertex(i))
 
     def from_canon(self, s: str):
         """The vertex whose ``canon`` is ``s``; OutOfDomain if there is none."""
@@ -69,40 +86,43 @@ class _BallMixin:
                 return x
         raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}")
 
-    def ball(self, x, radius: int, *, budget: int = DEFAULT_SCAN_BUDGET):
-        """Vertices at distance at most ``radius`` from ``x`` as (vertex,
-        dist) pairs, sorted by (distance, vertex); [] for a negative radius.
+    def ball(self, i, radius: int, *, budget: int = DEFAULT_SCAN_BUDGET):
+        """Ids at distance at most ``radius`` from the vertex whose id is
+        ``i``, as (id, dist) pairs sorted by (distance, id), which is
+        (distance, vertex) order; [] for a negative radius.
 
-        ``radius`` and ``budget`` are ints; anything else, a bool or an
-        integral float included, raises InvalidParam.  Raises
-        BudgetExceeded if and only if the ball has more than ``budget``
+        ``i`` must pass ``_check_id``.  ``radius`` and ``budget`` are ints;
+        anything else, a bool or an integral float included, raises
+        InvalidParam.  Raises BudgetExceeded, naming the centre in
+        canonical form, if and only if the ball has more than ``budget``
         vertices.
         """
-        self.check_vertex(x)
+        self._check_id(i)
         if type(radius) is not int or type(budget) is not int:
             raise InvalidParam(
                 f"ball needs an int radius and budget, got {radius!r} and {budget!r}")
         if radius < 0:
             return []
-        out = self._ball(x, radius, budget)
+        out = self._ball(i, radius, budget)
         if out is None:
             raise BudgetExceeded(
-                f"ball({self.canon(x)}, {radius}) exceeded vertex budget {budget}")
+                f"ball({self.canon_of(i)}, {radius}) exceeded vertex budget {budget}")
         return out
 
-    def _ball(self, x, radius: int, budget: int):
+    def _ball(self, i, radius: int, budget: int):
         """Sorted ball of ``radius`` >= 0, or None past ``budget``."""
         # BFS a layer at a time: each layer is sorted on its own, so the
-        # ball comes out in (distance, vertex) order with no global sort
-        seen = {x}
-        out = [(x, 0)]
-        layer = [x]
+        # ball comes out in (distance, id) order with no global sort
+        nbrs = self._id_neighbors
+        seen = {i}
+        out = [(i, 0)]
+        layer = [i]
         d = 0
         while layer and d < radius and len(seen) <= budget:
             d += 1
             nxt = []
             for v in layer:
-                for w in self.neighbors(v):
+                for w in nbrs(v):
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -130,6 +150,8 @@ class Hypergrid(_BallMixin):
         self.n_vertices = n**d
         self.diameter = (n - 1) * d
         self._width = len(str(n))
+        # the place value of each coordinate in an id, coordinate 0 first
+        self._strides = [n ** (d - 1 - j) for j in range(d)]
 
     def __repr__(self):
         return f"Hypergrid(n={self.n}, d={self.d})"
@@ -159,6 +181,38 @@ class Hypergrid(_BallMixin):
     def dist(self, x, y) -> int:
         return sum(abs(a - b) for a, b in zip(x, y))
 
+    def index(self, x) -> int:
+        """The id of the vertex ``x``: its coordinates less ``base`` read as
+        base-n digits, coordinate 0 most significant."""
+        self.check_vertex(x)
+        n, base = self.n, self.base
+        i = 0
+        for c in x:
+            i = i * n + c - base
+        return i
+
+    def vertex(self, i) -> tuple:
+        """The vertex whose id is ``i``."""
+        self._check_id(i)
+        n, base = self.n, self.base
+        out = [0] * self.d
+        for j in range(self.d - 1, -1, -1):
+            i, out[j] = divmod(i, n)
+            out[j] += base
+        return tuple(out)
+
+    def _id_neighbors(self, i) -> list:
+        # the coordinate at place value s is (i // s) % n
+        n = self.n
+        out = []
+        for s in self._strides:
+            c = i // s % n
+            if c > 0:
+                out.append(i - s)
+            if c < n - 1:
+                out.append(i + s)
+        return out
+
     def edges(self) -> Iterator[tuple]:
         """Each edge once, as (low, high) in coordinate order."""
         hi = self.base + self.n - 1
@@ -179,9 +233,11 @@ class Hypercube(Hypergrid):
     """The Boolean cube {0,1}^d under Hamming distance: the hypergrid with
     n = 2 and coordinates from 0.
 
-    It keeps its own fast kernels for ``contains``, ``canon``, decoding and
-    balls: ``canon`` and ``_decode`` map a tuple's bytes through a byte
-    table and back, with no per-coordinate ``int()``.
+    It keeps its own fast kernels for ``contains``, ``canon``, decoding,
+    ids and balls: ``canon`` and ``_decode`` map a tuple's bytes through a
+    byte table and back, with no per-coordinate ``int()``, and an id is
+    the coordinates read as the bits of an int, so ``canon_of`` writes an
+    id's bits and builds no tuple.
     """
 
     base = 0
@@ -190,6 +246,7 @@ class Hypercube(Hypergrid):
         if d < 1:
             raise InvalidArgs(f"hypercube needs d >= 1, got {d}")
         super().__init__(2, d)
+        self._bits = f"0{d}b"  # format spec of an id's d bits
         # _masks[k]: the d-bit ints of Hamming weight k, built by _ball on use
         self._masks = [[0]]
 
@@ -204,32 +261,37 @@ class Hypercube(Hypergrid):
     def dist(self, x, y) -> int:
         return sum(a != b for a, b in zip(x, y))
 
-    def _ball(self, x, radius: int, budget: int):
+    def index(self, x) -> int:
+        self.check_vertex(x)
+        return int(bytes(x).translate(_DIGITS), 2)
+
+    def vertex(self, i) -> tuple:
+        self._check_id(i)
+        return tuple(format(i, self._bits).encode().translate(_UNDIGITS))
+
+    def canon_of(self, i) -> str:
+        # an id's d bits are its vertex's canon, with no tuple built
+        self._check_id(i)
+        return format(i, self._bits)
+
+    def _ball(self, i, radius: int, budget: int):
         # The ball has sum_{k <= limit} C(d, k) vertices, limit = min(radius,
-        # d), so the budget is decided before any is built.  With x read as
-        # an int, coordinate 0 most significant, int order is tuple order:
-        # layer k is x XOR each weight-k mask, sorted.  The ints become
-        # tuples a byte at a time.
+        # d), so the budget is decided before any is built.  An id's bits
+        # are its coordinates, so layer k is i XOR each weight-k mask,
+        # sorted.
         d = self.d
         limit = min(radius, d)
         if sum(math.comb(d, k) for k in range(limit + 1)) > budget:
             return None
-        xi = int(bytes(x).translate(_DIGITS), 2)
         masks = self._masks
         while len(masks) <= limit:
             # a mask gains only bits above its highest, so each is built once
-            masks.append([m | (1 << i) for m in masks[-1] for i in range(m.bit_length(), d)])
-        # the first 1 to 8 coordinates sit at shift top, whole bytes below
-        top = 8 * ((d - 1) // 8)
-        high, byte = _BITS_OF[d - top], _BITS_OF[8]
-        out = [(x, 0)]
+            masks.append([m | (1 << j) for m in masks[-1] for j in range(m.bit_length(), d)])
+        out = [(i, 0)]
         for k in range(1, limit + 1):
-            layer = [xi ^ m for m in masks[k]]
+            layer = [i ^ m for m in masks[k]]
             layer.sort()
-            vs = [high[v >> top] for v in layer]
-            for shift in range(top - 8, -1, -8):
-                vs = [t + byte[(v >> shift) & 255] for t, v in zip(vs, layer)]
-            out.extend(zip(vs, itertools.repeat(k)))
+            out += zip(layer, itertools.repeat(k))
         return out
 
     def canon(self, x) -> str:
@@ -284,6 +346,18 @@ class ExplicitGraph(_BallMixin):
     def neighbors(self, x) -> tuple:
         self.check_vertex(x)
         return self._adj[x]
+
+    def index(self, x) -> int:
+        """The id of ``x``, which is ``x``."""
+        self.check_vertex(x)
+        return x
+
+    def vertex(self, i) -> int:
+        self._check_id(i)
+        return i
+
+    def _id_neighbors(self, i) -> tuple:
+        return self._adj[i]
 
     def dist(self, x, y):
         self.check_vertex(x)

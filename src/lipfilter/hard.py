@@ -132,6 +132,8 @@ def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
     _check_params(graph, r, b)
     if m < 1:
         raise InvalidParam("m must be positive")
+    if type(retry_cap) is not int or retry_cap < 1:
+        raise InvalidParam(f"retry_cap must be an int >= 1, got {retry_cap!r}")
 
     rng = random.Random(int(seed.hex, 16))
     thr = separation_threshold(graph.d, r)

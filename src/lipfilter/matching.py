@@ -37,7 +37,8 @@ class MatchingLCA:
     Args:
         neighbors: callable vertex -> iterable of adjacent vertices.
         seed: rank PRF key.
-        encode: canonical vertex encoding (graph.canon).
+        encode: canonical encoding of what the oracle names a vertex by
+            (graph.canon for vertices, graph.canon_of for ids).
         budget: cap on newly explored edges per ``match_of`` query.
     """
 

@@ -15,6 +15,11 @@ from its lower end: it keeps only the partners with f(y) > f(x), which sit
 within ceil(hi - f(x) - tau) - 1, so a centre at hi walks nothing.  The
 l1 table's first pass makes upward scans; every other caller, and the
 whole-graph references below, scan both ways.
+
+A scan works on vertex ids (see ``graphs``): its centre is an id, its
+``lookup`` reads by id, and it returns ids, so no coordinate tuple is
+built or hashed in the scan.  The whole-graph functions below take and
+return vertices.
 """
 from __future__ import annotations
 
@@ -38,12 +43,12 @@ def violation_score(graph, f, x, y) -> Fraction:
 
 
 def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
-    """{y: score} for every y whose violation score against x exceeds
-    ``tau`` (>= 0), in ball order, with every score a Fraction.
+    """{y: score} for every id y whose violation score against the id x
+    exceeds ``tau`` (>= 0), in ball order, with every score a Fraction.
 
-    ``lookup`` is any callable vertex -> Fraction | None whose defined
-    values all lie in the Interval ``bounds`` = [lo, hi]; the scan trusts
-    that and does not check it.  No such y sits farther than
+    ``lookup`` is any callable id -> Fraction | None whose defined values
+    all lie in the Interval ``bounds`` = [lo, hi]; the scan trusts that
+    and does not check it.  No such y sits farther than
     ceil(max(hi - f(x), f(x) - lo) - tau) - 1, so that is the ball walked.
     With ``upward=True`` only the y with f(y) > f(x) are kept; none sits
     farther than ceil(hi - f(x) - tau) - 1, so that smaller ball is walked.
@@ -90,14 +95,14 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
 
 
 def _violated_pairs(graph, lookup, *, tau, bounds):
-    """Every tau-violated pair, once each, as (low, high, score).
-    ``lookup``'s defined values lie in ``bounds``.
+    """Every tau-violated pair, once each, as (low id, high id, score).
+    ``lookup`` reads by id, and its defined values lie in ``bounds``.
 
-    It scans both ways and keeps a pair from its smaller vertex, not
-    upward scans from its lower value: ``global_filter_l1`` and the
-    whole-graph checks build on it, so it stays the independent reference
-    that the l1 table's one-sided first pass is checked against."""
-    for x in graph.vertices():
+    It scans both ways and keeps a pair from its smaller id, not upward
+    scans from its lower value: ``global_filter_l1`` and the whole-graph
+    checks build on it, so it stays the independent reference that the l1
+    table's one-sided first pass is checked against."""
+    for x in range(graph.n_vertices):
         for y, score in scan_scored_neighbors(
             graph, lookup, x, tau=tau, bounds=bounds
         ).items():
@@ -113,14 +118,16 @@ def _pairs_above(scans, tau):
 
 
 def _all_violated_pairs(graph, f):
-    """_violated_pairs of f at tau = 0, reading f once per vertex."""
-    values = {x: f.lookup(x) for x in graph.vertices()}
-    return _violated_pairs(graph, values.get, tau=0, bounds=f.bounds)
+    """_violated_pairs of f at tau = 0, by id, reading f once per vertex."""
+    values = list(map(f.lookup, graph.vertices()))
+    return _violated_pairs(graph, values.__getitem__, tau=0, bounds=f.bounds)
 
 
 def violation_edges(graph, f):
     """Every 0-violated pair of f, each once as an ordered (low, high) edge."""
-    return sorted((x, y) for x, y, _ in _all_violated_pairs(graph, f))
+    # ids sort as their vertices do
+    pairs = sorted((x, y) for x, y, _ in _all_violated_pairs(graph, f))
+    return [(graph.vertex(x), graph.vertex(y)) for x, y in pairs]
 
 
 def max_violation_score(graph, f) -> Fraction:
@@ -139,7 +146,7 @@ def is_c_lipschitz(graph, f, c) -> bool:
     which also takes partial functions.
     """
     c = Fraction(c)
-    values = ValueMemo(f)
+    values = ValueMemo(f.lookup)
     for u, v in graph.edges():
         fu = values[u]
         fv = values[v]

@@ -1,7 +1,8 @@
 """Shared builders for the test suite."""
 from fractions import Fraction
 
-from lipfilter import ExplicitGraph, Seed, TableFunction
+from lipfilter import ExplicitGraph, Seed, TableFunction, scan_scored_neighbors
+from lipfilter.violation import _violated_pairs
 
 
 def seed_of(i: int) -> Seed:
@@ -60,3 +61,28 @@ def corrupted_lipschitz(graph, rng, r, k) -> TableFunction:
     for x in rng.sample(verts, k):
         table[x] = Fraction(0) if rng.random() < 0.5 else Fraction(r)
     return TableFunction(graph, table, r)
+
+
+# The ball and the scans work on vertex ids; these take and return vertices,
+# so a test can state what it expects in vertices.
+
+def ball_of(graph, x, radius, **kw):
+    """``graph.ball`` around the vertex ``x``, as (vertex, dist) pairs."""
+    vertex = graph.vertex
+    return [(vertex(y), d) for y, d in graph.ball(graph.index(x), radius, **kw)]
+
+
+def scan_of(graph, lookup, x, **kw):
+    """``scan_scored_neighbors`` around the vertex ``x``, with ``lookup``
+    reading vertices, as {vertex: score}."""
+    vertex = graph.vertex
+    got = scan_scored_neighbors(graph, lambda i: lookup(vertex(i)), graph.index(x), **kw)
+    return {vertex(y): score for y, score in got.items()}
+
+
+def violated_pairs_of(graph, lookup, **kw):
+    """``_violated_pairs`` with ``lookup`` reading vertices, as a list of
+    (low vertex, high vertex, score)."""
+    vertex = graph.vertex
+    return [(vertex(x), vertex(y), score) for x, y, score in
+            _violated_pairs(graph, lambda i: lookup(vertex(i)), **kw)]

@@ -278,6 +278,26 @@ class TestErrors:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    # a search cap below 1 is rejected when the flags are parsed, on input
+    # that would not reach the cap (a Lipschitz function) as on input that
+    # would (parity), with a message naming the flag
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--expr", "sum()", "--domain", "cube:3", "--range", "3",
+         "--l0-cap"],
+        ["oracle", "--expr", "2*(sum() - 2*floor(1/2*sum()))", "--domain",
+         "cube:3", "--range", "2", "--l0-cap"],
+        ["gen-hard", "--domain", "cube:6", "--r", "2", "--b", "1", "--seed", SEED,
+         "--retry-cap"],
+    ], ids=["oracle lipschitz", "oracle parity", "gen-hard"])
+    @pytest.mark.parametrize("value", ["0", "-1", "-5", "x"])
+    def test_cap_must_be_positive(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as info:
+            main(argv + [value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[-1]}: " in captured.err
+        assert captured.out == ""
+
     # malformed inputs exit 2 with an error line, never 1 (reject) with a
     # traceback; "NOVERTICES" stands for a graph JSON file without "vertices"
     MALFORMED = {

@@ -68,6 +68,18 @@ class TestMinVertexCover:
         with pytest.raises(CapExceeded):
             min_vertex_cover(edges, cap=3)
 
+    @pytest.mark.parametrize("cap", [0, -1, True, False, 3.0, "3"], ids=repr)
+    def test_cap_below_one_rejected_up_front(self, cap):
+        # rejected before any search, so an edgeless instance rejects it too
+        for edges in ([], [(0, 1), (1, 2)]):
+            with pytest.raises(InvalidParam, match="cap must be an int >= 1"):
+                min_vertex_cover(edges, cap=cap)
+
+    def test_cap_of_one(self):
+        assert min_vertex_cover([], cap=1) == frozenset()
+        with pytest.raises(CapExceeded):
+            min_vertex_cover([(0, 1)], cap=1)
+
     def test_is_actually_a_cover(self):
         rng = random.Random(1)
         edges = sorted(

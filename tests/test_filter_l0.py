@@ -242,11 +242,13 @@ class TestExtension:
         for x in g.vertices():
             if filt.match_of(x) is None:
                 continue
+            # the session asks its matching by id
             asked = []
-            session_match_of = filt.match_of
-            filt.match_of = lambda y: asked.append(y) or session_match_of(y)
+            matcher = filt._matcher
+            session_match_of = matcher.match_of
+            matcher.match_of = lambda i: asked.append(g.vertex(i)) or session_match_of(i)
             got = filt.value(x)
-            del filt.match_of
+            del matcher.match_of
             # value() first asks about x itself, then about each winner
             winners, best = [], f.lo
             for y in sorted(g.vertices(), key=lambda y: (g.dist(x, y), y)):

@@ -6,7 +6,6 @@ import pytest
 
 from lipfilter import filter_l1, matching
 from lipfilter.seeds import edge_rank
-from lipfilter.violation import _violated_pairs
 from lipfilter import (
     ExplicitGraph,
     ExprFunction,
@@ -30,6 +29,7 @@ from helpers import (
     random_connected_graph,
     random_table,
     seed_of,
+    violated_pairs_of,
 )
 
 
@@ -325,7 +325,7 @@ class TestGlobalRounds:
             key = filt.seed.derive("iter", t).hex
             expected += [
                 (key, g.canon(x), g.canon(y))
-                for x, y, _ in _violated_pairs(
+                for x, y, _ in violated_pairs_of(
                     g, trace[t - 2].get, tau=filt.schedule.tau(t),
                     bounds=f.bounds)
             ]

@@ -28,7 +28,7 @@ from lipfilter import (
 )
 from lipfilter.graphs import _BallMixin
 
-from helpers import random_connected_graph
+from helpers import ball_of, random_connected_graph
 
 
 class BfsHypercube(Hypercube):
@@ -83,7 +83,7 @@ class TestHypergrid:
         for x in [(1.0, 2), (1, 2.0), (True, 2), (2, True), (1, 2, 3), [1, 2]]:
             assert not g.contains(x)
             with pytest.raises(OutOfDomain):
-                g.ball(x, 1)
+                ball_of(g, x, 1)
         assert g.contains((1, 2))
 
     def test_canon_round_trip_wide(self):
@@ -142,7 +142,7 @@ class TestHypercube:
         with pytest.raises(OutOfDomain):
             f.lookup(x)
         with pytest.raises(OutOfDomain):
-            g.ball(x, 1)
+            ball_of(g, x, 1)
 
 
 class TestHypercubeIsGrid:
@@ -205,7 +205,7 @@ class TestFromCanon:
 class TestBall:
     def test_sorted_by_dist_then_vertex(self):
         g = Hypercube(3)
-        out = g.ball((0, 0, 0), 1)
+        out = ball_of(g, (0, 0, 0), 1)
         assert out == [
             ((0, 0, 0), 0),
             ((0, 0, 1), 1),
@@ -216,27 +216,27 @@ class TestBall:
     def test_closed_int_radius_only(self):
         g = Hypercube(4)
         x = (0, 0, 0, 0)
-        assert len(g.ball(x, 2)) == 11
-        assert len(g.ball(x, 0)) == 1
-        assert g.ball(x, -1) == []
+        assert len(ball_of(g, x, 2)) == 11
+        assert len(ball_of(g, x, 0)) == 1
+        assert ball_of(g, x, -1) == []
         for radius in (Fraction(3, 2), Fraction(2), 1.0, True, "1", None):
             with pytest.raises(InvalidParam):
-                g.ball(x, radius)
+                ball_of(g, x, radius)
         for budget in (None, 11.0, True):
             with pytest.raises(InvalidParam):
-                g.ball(x, 2, budget=budget)
+                ball_of(g, x, 2, budget=budget)
 
     def test_budget(self):
         g = Hypercube(4)
         with pytest.raises(BudgetExceeded):
-            g.ball((0,) * 4, 2, budget=5)
-        assert len(g.ball((0,) * 4, 2, budget=11)) == 11
+            ball_of(g, (0,) * 4, 2, budget=5)
+        assert len(ball_of(g, (0,) * 4, 2, budget=11)) == 11
 
     def test_budget_error_names_canon(self):
         # the cube decides the budget before it builds the ball
         x = (0, 1) + (0,) * 30
         with pytest.raises(BudgetExceeded, match=r"^ball\(01" + "0" * 30 + r", 59\) "):
-            Hypercube(32).ball(x, 59, budget=10)
+            ball_of(Hypercube(32), x, 59, budget=10)
 
     def test_budget_error_names_radius_walked(self):
         # the l0 extension around a matched x walks the closed ball of
@@ -258,10 +258,10 @@ class TestBall:
         g, ref = Hypercube(d), BfsHypercube(d)
         for x in g.vertices():
             for radius in range(d + 2):
-                want = ref.ball(x, radius)
-                assert g.ball(x, radius, budget=len(want)) == want
+                want = ball_of(ref, x, radius)
+                assert ball_of(g, x, radius, budget=len(want)) == want
                 with pytest.raises(BudgetExceeded):
-                    g.ball(x, radius, budget=len(want) - 1)
+                    ball_of(g, x, radius, budget=len(want) - 1)
 
     @pytest.mark.parametrize("d", [7, 8, 9, 15, 16, 17])
     def test_hypercube_equals_bfs_multibyte(self, d):
@@ -273,26 +273,26 @@ class TestBall:
         rng = random.Random(d)
         for _ in range(3 if d <= 9 else 1):
             x = tuple(rng.randrange(2) for _ in range(d))
-            whole = ref.ball(x, d)
+            whole = ball_of(ref, x, d)
             dists = [dist for _, dist in whole]
             for radius in range(d + 2):
                 want = whole[: bisect.bisect_right(dists, radius)]
-                assert g.ball(x, radius, budget=len(want)) == want
+                assert ball_of(g, x, radius, budget=len(want)) == want
                 with pytest.raises(BudgetExceeded):
-                    g.ball(x, radius, budget=len(want) - 1)
+                    ball_of(g, x, radius, budget=len(want) - 1)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_hypercube_budget_verdict_equals_bfs(self, d):
         g, ref = Hypercube(d), BfsHypercube(d)
         x = (0, 1) * (d // 2) + (1,) * (d % 2)
         for radius in range(d + 2):
-            size = len(ref.ball(x, radius))
+            size = len(ball_of(ref, x, radius))
             for graph in (g, ref):
-                assert len(graph.ball(x, radius, budget=size)) == size
+                assert len(ball_of(graph, x, radius, budget=size)) == size
             raised = []
             for graph in (g, ref):
                 with pytest.raises(BudgetExceeded) as err:
-                    graph.ball(x, radius, budget=size - 1)
+                    ball_of(graph, x, radius, budget=size - 1)
                 raised.append(str(err.value))
             assert raised[0] == raised[1]
 
@@ -301,7 +301,7 @@ class TestBall:
         g = Hypercube(40)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            g.ball((0,) * 40, 20, budget=200_000)
+            ball_of(g, (0,) * 40, 20, budget=200_000)
         assert time.perf_counter() - start < 0.5
 
     def test_membership_matches_dist(self):
@@ -310,9 +310,91 @@ class TestBall:
         explicit = random_connected_graph(random.Random(3), 20, extra=6)
         for g, x in ((cube, (0, 1, 1, 0)), (grid, (2, 1, 4)), (explicit, 7)):
             for radius in range(g.n_vertices.bit_length() + 6):
-                members = {v for v, _ in g.ball(x, radius)}
+                members = {v for v, _ in ball_of(g, x, radius)}
                 expect = {v for v in g.vertices() if g.dist(x, v) <= radius}
                 assert members == expect
+
+
+def tuple_bfs(g, x):
+    """The whole ball around ``x`` as (vertex, dist) pairs in (dist, vertex)
+    order, by a BFS over public ``neighbors``: the reference for id balls."""
+    seen = {x}
+    out = [(x, 0)]
+    layer = [x]
+    while layer:
+        d = out[-1][1] + 1
+        layer = sorted({w for v in layer for w in g.neighbors(v)} - seen)
+        seen.update(layer)
+        out += [(w, d) for w in layer]
+    return out
+
+
+def sparse_graph(rng, n):
+    """Random edges, none at vertex n - 1, which stays isolated."""
+    return ExplicitGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n - 1)
+                             if rng.random() < 1.5 / n])
+
+
+ID_GRAPHS = [
+    *(Hypercube(d) for d in (*range(1, 10), 17)),
+    *(Hypergrid(n, d) for n in range(1, 5) for d in range(1, 4)),
+    *(random_connected_graph(random.Random(s), 6 + 5 * s, extra=s) for s in range(3)),
+    *(sparse_graph(random.Random(s), 6 + 5 * s) for s in range(3)),
+]
+
+
+class TestIds:
+    """``index`` and ``vertex`` are inverse, order-preserving maps between
+    the vertices and range(n_vertices), and ``ball`` by ids is the tuple
+    ball."""
+
+    @pytest.mark.parametrize("g", ID_GRAPHS, ids=repr)
+    def test_index_is_an_order_preserving_bijection(self, g):
+        verts = sorted(g.vertices())
+        assert list(g.vertices()) == verts
+        assert [g.index(x) for x in verts] == list(range(g.n_vertices))
+        assert all(g.vertex(g.index(x)) == x for x in verts)
+        assert [g.canon_of(i) for i in range(g.n_vertices)] == list(map(g.canon, verts))
+
+    @pytest.mark.parametrize("g", ID_GRAPHS, ids=repr)
+    def test_bad_ids_rejected(self, g):
+        for i in (-1, g.n_vertices, True, False, 0.0, 1.0, None, "0"):
+            for call in (g.vertex, g.canon_of, lambda i: g.ball(i, 1)):
+                with pytest.raises(OutOfDomain):
+                    call(i)
+
+    @pytest.mark.parametrize("g", ID_GRAPHS, ids=repr)
+    def test_ball_equals_tuple_bfs(self, g):
+        # every radius up to past the farthest vertex, with the budget
+        # verdict at the ball's size and one below it; the ball of each
+        # radius is a prefix of the whole ball, in ids as in vertices
+        verts = list(g.vertices())
+        rng = random.Random(g.n_vertices)
+        # every centre of a small graph; of a large one the first, the
+        # last and a random one, and past 2^9 vertices a random one only
+        centres = (verts if len(verts) <= 64 else [verts[0], verts[-1], rng.choice(verts)]
+                   if len(verts) <= 512 else [rng.choice(verts)])
+        for x in centres:
+            want = tuple_bfs(g, x)
+            i = g.index(x)
+            whole = g.ball(i, want[-1][1])
+            assert [(g.vertex(y), d) for y, d in whole] == want
+            dists = [d for _, d in whole]
+            for radius in range(want[-1][1] + 2):
+                size = bisect.bisect_right(dists, radius)
+                assert g.ball(i, radius, budget=size) == whole[:size]
+                with pytest.raises(BudgetExceeded):
+                    g.ball(i, radius, budget=size - 1)
+
+    @pytest.mark.parametrize("g, x, text", [
+        (Hypercube(32), (0, 1) + (0,) * 30, "01" + "0" * 30),
+        (Hypergrid(12, 2), (1, 12), "0112"),
+        (ExplicitGraph(12, [(0, 11), (7, 11)]), 7, "07"),
+    ], ids=repr)
+    def test_budget_error_names_centre_in_canonical_form(self, g, x, text):
+        with pytest.raises(BudgetExceeded, match=rf"^ball\({text}, 31\) exceeded "
+                                                 rf"vertex budget 1$"):
+            g.ball(g.index(x), 31, budget=1)
 
 
 def floyd_warshall(n, edges):
@@ -343,9 +425,7 @@ class TestExplicitGraph:
         if seed % 2:
             g = random_connected_graph(rng, n, extra=rng.randrange(n))
         else:
-            # sparse random edges, none at vertex n - 1, which stays isolated
-            g = ExplicitGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n - 1)
-                                  if rng.random() < 1.5 / n])
+            g = sparse_graph(rng, n)
         want = floyd_warshall(n, g.edges())
         assert [[g.dist(x, y) for y in range(n)] for x in range(n)] == want
         assert (math.inf in want[-1]) == (seed % 2 == 0)
@@ -354,7 +434,7 @@ class TestExplicitGraph:
         g = ExplicitGraph(3, [(0, 1), (1, 2)])
         for x in (True, False, 1.0):
             assert not g.contains(x)
-            for call in (lambda: g.ball(x, 1), lambda: g.dist(x, 0),
+            for call in (lambda: ball_of(g, x, 1), lambda: g.dist(x, 0),
                          lambda: g.dist(0, x), lambda: g.neighbors(x)):
                 with pytest.raises(OutOfDomain):
                     call()

@@ -52,6 +52,11 @@ class TestValidation:
             # 6 separated pairs cannot fit in a 6-cube
             sample_hard_instance(g, 4, 1, seed_of(0), m=6, retry_cap=50)
 
+    @pytest.mark.parametrize("cap", [0, -5, True, 2.0], ids=repr)
+    def test_retry_cap_below_one_rejected(self, cap):
+        with pytest.raises(InvalidParam, match="retry_cap must be an int >= 1"):
+            sample_hard_instance(Hypercube(6), 2, 1, seed_of(0), m=1, retry_cap=cap)
+
     def test_threshold(self):
         assert separation_threshold(12, 2) == 3
         assert separation_threshold(4, 6) == 5

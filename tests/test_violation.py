@@ -18,12 +18,10 @@ from lipfilter import (
     TableFunction,
     make_schedule,
     max_violation_score,
-    scan_scored_neighbors,
     violation_edges,
     violation_score,
 )
-from lipfilter.violation import _violated_pairs
-from helpers import lipschitz_table, random_connected_graph
+from helpers import lipschitz_table, random_connected_graph, scan_of, violated_pairs_of
 
 
 def path3(values, r=3):
@@ -61,7 +59,7 @@ class TestScan:
     def test_positive_only(self):
         g = Hypergrid(5, 1)
         f = TableFunction(g, {(i,): 0 for i in range(1, 6)} | {(3,): 4}, 4)
-        got = scan_scored_neighbors(g, f.lookup, (3,), tau=0, bounds=f.bounds)
+        got = scan_of(g, f.lookup, (3,), tau=0, bounds=f.bounds)
         assert got == {(1,): 2, (2,): 3, (4,): 3, (5,): 2}
 
     def test_radius_truncation(self):
@@ -70,14 +68,14 @@ class TestScan:
         values[(1,)] = 4
         f = TableFunction(g, values, 4)
         # radius ceil(4 - tau) - 1 reaches (4,) at tau = 0 and (3,) at tau = 1
-        got = scan_scored_neighbors(g, f.lookup, (1,), tau=0, bounds=f.bounds)
+        got = scan_of(g, f.lookup, (1,), tau=0, bounds=f.bounds)
         assert got == {(2,): 3, (3,): 2, (4,): 1}
-        assert scan_scored_neighbors(g, f.lookup, (1,), tau=1,
-                                     bounds=f.bounds) == {(2,): 3, (3,): 2}
+        assert scan_of(g, f.lookup, (1,), tau=1,
+                       bounds=f.bounds) == {(2,): 3, (3,): 2}
 
     def test_undefined_center(self):
         g, f = path3(["?", 3, 0])
-        assert scan_scored_neighbors(g, f.lookup, 0, tau=0, bounds=f.bounds) == {}
+        assert scan_of(g, f.lookup, 0, tau=0, bounds=f.bounds) == {}
 
     def test_budget(self):
         # the scan's ball is held to the ball layer's vertex budget: on the
@@ -86,8 +84,8 @@ class TestScan:
         x = (0,) * 18
         with pytest.raises(BudgetExceeded, match=rf"ball\(0{{18}}, 11\) exceeded "
                                                  rf"vertex budget {DEFAULT_SCAN_BUDGET}$"):
-            scan_scored_neighbors(g, {x: Fraction(6)}.get, x, tau=0,
-                                  bounds=Interval.of(0, 18))
+            scan_of(g, {x: Fraction(6)}.get, x, tau=0,
+                    bounds=Interval.of(0, 18))
 
 
 CUBE4 = Hypercube(4)
@@ -137,7 +135,7 @@ class TestScanProperty:
     def test_equals_brute_force(self, table, tau):
         values = dict(zip(CUBE4.vertices(), table))
         for x in CUBE4.vertices():
-            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, bounds=WIDE)
+            got = scan_of(CUBE4, values.get, x, tau=tau, bounds=WIDE)
             assert got == brute_force_scores(values, x, tau)
             assert all(type(s) is Fraction for s in got.values())
 
@@ -145,14 +143,14 @@ class TestScanProperty:
     @given(st.lists(_value, min_size=16, max_size=16), _tau)
     def test_pairs_equal_brute_force(self, table, tau):
         values = dict(zip(CUBE4.vertices(), table))
-        got = list(_violated_pairs(CUBE4, values.get, tau=tau, bounds=WIDE))
+        got = list(violated_pairs_of(CUBE4, values.get, tau=tau, bounds=WIDE))
         assert len(got) == len(set(got))
         assert set(got) == brute_force_pairs(values, tau)
 
 
 def tau_violated(g, f, tau, x):
     """The l1 matcher's rule: the partners scoring above tau."""
-    return list(scan_scored_neighbors(g, f.lookup, x, tau=tau, bounds=f.bounds))
+    return list(scan_of(g, f.lookup, x, tau=tau, bounds=f.bounds))
 
 
 def recording_ball(monkeypatch, g):
@@ -258,16 +256,16 @@ class TestScanCap:
         upward_pairs = []
         for x in CUBE4.vertices():
             want = brute_force_scores(values, x, tau)
-            got = scan_scored_neighbors(CUBE4, values.get, x, tau=tau, bounds=bounds)
+            got = scan_of(CUBE4, values.get, x, tau=tau, bounds=bounds)
             assert got == want
-            up = scan_scored_neighbors(CUBE4, values.get, x, tau=tau,
-                                       bounds=bounds, upward=True)
+            up = scan_of(CUBE4, values.get, x, tau=tau,
+                         bounds=bounds, upward=True)
             assert up == {y: s for y, s in want.items() if values[y] > values[x]}
             upward_pairs += [(min(x, y), max(x, y), s) for y, s in up.items()]
         # every violated pair is found once, from its lower end
         assert len(upward_pairs) == len(set(upward_pairs))
         assert set(upward_pairs) == brute_force_pairs(values, tau)
-        pairs = list(_violated_pairs(CUBE4, values.get, tau=tau, bounds=bounds))
+        pairs = list(violated_pairs_of(CUBE4, values.get, tau=tau, bounds=bounds))
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == brute_force_pairs(values, tau)
 
@@ -284,10 +282,10 @@ class TestScanCap:
                 radii.append(radius)
                 return Hypercube.ball(CUBE4, centre, radius, **kw)
 
-            graph = SimpleNamespace(ball=ball)
+            graph = SimpleNamespace(ball=ball, index=CUBE4.index, vertex=CUBE4.vertex)
             for upward in (False, True):
-                scan_scored_neighbors(graph, values.get, x, tau=tau,
-                                      bounds=Interval(lo, hi), upward=upward)
+                scan_of(graph, values.get, x, tau=tau,
+                        bounds=Interval(lo, hi), upward=upward)
             fx = values[x]
             want = [] if fx is None else [
                 math.ceil(max(hi - fx, fx - lo) - tau) - 1,
@@ -302,7 +300,7 @@ class TestScanCap:
         g = self.CUBE8
         f = ExprFunction(g, "sum()", 8)
         walked = recording_ball(monkeypatch, g)
-        scan_scored_neighbors(g, f.lookup, self.MID, tau=tau, bounds=f.bounds)
+        scan_of(g, f.lookup, self.MID, tau=tau, bounds=f.bounds)
         return walked
 
     def test_mid_range_centre_walks_radius_3(self, monkeypatch):
@@ -323,7 +321,7 @@ class TestScanCap:
         wide = Interval.of(0, 18)
         for fx, tau, upward in [(6, 6, False), (12, 0, True)]:
             lookup = {x: Fraction(fx)}.get
-            assert scan_scored_neighbors(g, lookup, x, tau=tau, bounds=wide,
-                                         upward=upward) == {}
+            assert scan_of(g, lookup, x, tau=tau, bounds=wide,
+                           upward=upward) == {}
             with pytest.raises(BudgetExceeded, match=r"ball\(0{18}, 11\)"):
-                scan_scored_neighbors(g, lookup, x, tau=0, bounds=wide)
+                scan_of(g, lookup, x, tau=0, bounds=wide)
