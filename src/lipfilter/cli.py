@@ -57,7 +57,8 @@ def _parse_domain(spec: str):
 
 
 def _cap(text: str) -> int:
-    """An argparse type for a search cap: an int of at least 1."""
+    """An argparse type for a search cap or a pair count: an int of at
+    least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=_cap, default=8)
     p.add_argument("--retry-cap", type=_cap, default=1000)
     p.add_argument("--seed")
     p.add_argument("--values", action="store_true",
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma list, e.g. 8,10,12")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--queries", type=int, default=30)
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=_cap, default=8)
     p.add_argument("--seed")
     p.set_defaults(func=_cmd_bench)
 

@@ -12,9 +12,11 @@ ranks seeded by ``seed.derive("iter", t)``.  Every round asks the one
 violation scan for the pairs scoring above its tau_t and leaves the scan
 to decide how far to look.  ``LocalFilterL1.table`` computes each round
 globally from one store of scans at the final round's threshold, which
-holds every round's violated pairs; ``value`` simulates the same
-computation per query through the seeded matching LCA, which answers
-exactly the global greedy matching, so both give the same values.
+holds every round's violated pairs, each under the first round it enters:
+a round matches only the pairs that have entered by then and are still
+in the store, its live pairs.  ``value`` simulates the same computation
+per query through the seeded matching LCA, which answers exactly the
+global greedy matching, so both give the same values.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from .errors import InvalidParam, PartialFunction
 from .matching import MatchingLCA, greedy_maximal_matching
 from .seeds import Seed
-from .violation import _pairs_above, _violated_pairs, scan_scored_neighbors
+from .violation import _violated_pairs, scan_scored_neighbors
 
 DEFAULT_SLACK = Fraction(1, 100)
 
@@ -85,11 +87,12 @@ class LocalFilterL1:
     since distinct vertices sit at least 1 apart, and makes no scan.
 
     ``table(t)`` computes each round globally instead, from one store of
-    scans at the final round's threshold (see ``table``).  It shares the
-    round memos with ``value`` but not the scans, so the two can be mixed
-    in one session without changing any value.  The round memos, the
-    scans and the matchings key by vertex id (see ``graphs``); ``value``
-    and ``table`` take and return vertices.
+    the pairs violated at the final round's threshold, each with the round
+    it enters (see ``table``).  It shares the round memos with ``value``
+    but not the scans, so the two can be mixed in one session without
+    changing any value.  The round memos, the scans and the matchings key
+    by vertex id (see ``graphs``); ``value`` and ``table`` take and return
+    vertices.
     """
 
     def __init__(self, graph, f, seed: Seed, *, slack=DEFAULT_SLACK):
@@ -101,7 +104,11 @@ class LocalFilterL1:
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
         self._done = 0  # last round table() has completed
-        self._scans: dict = {}  # table()'s {vertex: {y: score}} at the final tau
+        # table()'s store {x: {y: entry round}} at the final tau, and in
+        # _filed[s] the pairs round s will check: those filed under s and
+        # round s - 1's live pairs
+        self._store: dict[int, dict[int, int]] = {}
+        self._filed: list[list] = [[] for _ in range(self.schedule.rounds + 1)]
 
     # -- round values ---------------------------------------------------
 
@@ -161,33 +168,59 @@ class LocalFilterL1:
         tau_s shrinks as s grows, so one scan per vertex at the final
         round's threshold holds every round's edges.  Round 2 makes those
         scans against round 1, upward only: each vertex walks the ball a
-        partner of higher value can sit in, and writes each score into
-        both ends' scans, so every violated pair is scored once, from its
-        lower end, and a vertex at the top of the range walks nothing.
-        Each round s matches the pairs scoring above tau_s with the global
-        greedy matching on the LCA's ranks, moves each matched value by
-        delta_s, and replaces the values ``value`` memoized for round s,
-        which equal the new table by construction.  Before the next round
-        it updates the scans in place: each moved value c leaves the scans
-        of its old partners, and one rescan of c against the new table,
-        which looks both ways since c's partners may sit on either side,
-        writes every score above the final threshold into both scans[c]
-        and scans[y].  Scores are symmetric and a scan holds every partner
-        above its threshold, so this gives the scans a fresh session would
-        make.  The final round drops the scans.  A final threshold with
+        partner of higher value can sit in, and each pair it finds is
+        written into the store under both ends, so every violated pair is
+        scored once, from its lower end, and a vertex at the top of the
+        range walks nothing.  The store maps x -> {y: s0}, where s0 is the
+        pair's entry round: the first round, from 2 on, whose tau the score
+        exceeds, decided in ints when the pair is written.  No score is
+        kept, since the taus are fixed and a score exceeding tau_s0 exceeds
+        every later tau.  Each pair written is also filed under s0.
+
+        Round s matches its live pairs with the global greedy matching on
+        the LCA's ranks: the pairs filed under s and round s - 1's live
+        pairs, less those whose entry in the store is gone or later than s.
+        So a round reads one store entry per live pair and never walks the
+        whole store; a pair filed twice is matched once, since the
+        matching drops repeated edges.  Each matched pair's values move
+        toward each other by delta_s, and the round replaces the values
+        ``value`` memoized for round s, which equal the new table by
+        construction.  Before the next round each moved value c leaves the
+        store rows of its old partners, and one rescan of c against the new
+        table, which looks both ways since c's partners may sit on either
+        side, writes every pair above the final threshold back, filed from
+        round s + 1.  Scores are symmetric and a scan holds every partner
+        above its threshold, so this gives the store a fresh session would
+        make.  The final round drops the store.  A final threshold with
         r - tau <= 1 leaves every round without an edge and makes no scan.
         A later call resumes after the last round done.
         """
         t = self._round_arg(t)
         rounds = self.schedule.rounds
+        never = rounds + 1
         ids = range(self.graph.n_vertices)
         final = self.schedule.final_threshold
-        scans = self._scans
+        store, filed = self._store, self._filed
+        # tau_s = A[s] / B[s] for s = 2..T
+        A, B = [0, 0], [1, 1]
+        for s in range(2, rounds + 1):
+            tau = self.schedule.tau(s)
+            A.append(tau.numerator)
+            B.append(tau.denominator)
 
-        def scan(v, table, upward=False):
-            return scan_scored_neighbors(
-                self.graph, table.get, v, tau=final, bounds=self.bounds,
-                upward=upward)
+        def scan(v, table, start, upward=False):
+            # a score n/m enters at the first round s >= start with
+            # n/m > A[s]/B[s]; it exceeds the final tau, so one exists
+            row = store[v]
+            for y, score in scan_scored_neighbors(
+                    self.graph, table.get, v, tau=final, bounds=self.bounds,
+                    upward=upward).items():
+                n, m = score.numerator, score.denominator
+                s0 = start
+                while n * B[s0] <= A[s0] * m:
+                    s0 += 1
+                row[y] = store[y][v] = s0
+                filed[s0].append((v, y))
 
         for s in range(self._done + 1, t + 1):
             if s == 1:
@@ -198,28 +231,34 @@ class LocalFilterL1:
             old = self._tables[s - 1]
             if s == 2 and self.schedule.r - final > 1:
                 for v in ids:
-                    scans[v] = {}
+                    store[v] = {}
                 for v in ids:
-                    for y, score in scan(v, old, upward=True).items():
-                        scans[v][y] = scans[y][v] = score
+                    scan(v, old, 2, upward=True)
+            live = [(x, y) for x, y in filed[s] if store[x].get(y, never) <= s]
+            filed[s] = []
             partner = greedy_maximal_matching(
-                _pairs_above(scans, self.schedule.tau(s)),
-                self.seed.derive("iter", s), encode=self.graph.canon_of)
+                live, self.seed.derive("iter", s), encode=self.graph.canon_of)
             new = dict(old)
             delta = self.schedule.delta(s)
             for u, w in partner.items():
-                new[u] = old[u] + delta if old[w] > old[u] else old[u] - delta
+                if u < w:
+                    # old[u] < old[w], compared in ints
+                    a, b = old[u], old[w]
+                    if a.numerator * b.denominator < b.numerator * a.denominator:
+                        new[u], new[w] = a + delta, b - delta
+                    else:
+                        new[u], new[w] = a - delta, b + delta
             self._tables[s] = new
             self._done = s
             if s == rounds:
-                scans.clear()
+                store.clear()
                 continue
+            filed[s + 1] += live
             for c in partner:
-                for y in scans[c]:
-                    del scans[y][c]
-                scans[c] = scan(c, new)
-                for y, score in scans[c].items():
-                    scans[y][c] = score
+                for y in store[c]:
+                    del store[y][c]
+                store[c] = {}
+                scan(c, new, s + 1)
         table = self._tables[t]
         return {x: table[i] for i, x in enumerate(self.graph.vertices())}
 

@@ -247,6 +247,8 @@ class Hypercube(Hypergrid):
             raise InvalidArgs(f"hypercube needs d >= 1, got {d}")
         super().__init__(2, d)
         self._bits = f"0{d}b"  # format spec of an id's d bits
+        # _sizes[k]: the vertices within distance k, sum_{j <= k} C(d, j)
+        self._sizes = list(itertools.accumulate(math.comb(d, k) for k in range(d + 1)))
         # _masks[k]: the d-bit ints of Hamming weight k, built by _ball on use
         self._masks = [[0]]
 
@@ -275,13 +277,12 @@ class Hypercube(Hypergrid):
         return format(i, self._bits)
 
     def _ball(self, i, radius: int, budget: int):
-        # The ball has sum_{k <= limit} C(d, k) vertices, limit = min(radius,
-        # d), so the budget is decided before any is built.  An id's bits
-        # are its coordinates, so layer k is i XOR each weight-k mask,
-        # sorted.
+        # The ball has _sizes[limit] vertices, limit = min(radius, d), so the
+        # budget is decided before any mask is built.  An id's bits are its
+        # coordinates, so layer k is i XOR each weight-k mask, sorted.
         d = self.d
         limit = min(radius, d)
-        if sum(math.comb(d, k) for k in range(limit + 1)) > budget:
+        if self._sizes[limit] > budget:
             return None
         masks = self._masks
         while len(masks) <= limit:

@@ -110,13 +110,6 @@ def _violated_pairs(graph, lookup, *, tau, bounds):
                 yield x, y, score
 
 
-def _pairs_above(scans, tau):
-    """The pairs of a store {x: {y: score}} of symmetric scans that score
-    above ``tau``, once each, as (low, high)."""
-    return [(x, y) for x, ys in scans.items()
-            for y, score in ys.items() if x < y and score > tau]
-
-
 def _all_violated_pairs(graph, f):
     """_violated_pairs of f at tau = 0, by id, reading f once per vertex."""
     values = list(map(f.lookup, graph.vertices()))

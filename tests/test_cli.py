@@ -280,7 +280,8 @@ class TestErrors:
 
     # a search cap below 1 is rejected when the flags are parsed, on input
     # that would not reach the cap (a Lipschitz function) as on input that
-    # would (parity), with a message naming the flag
+    # would (parity), with a message naming the flag; so is a pair count
+    # below 1, which the library would reject naming its own parameter
     @pytest.mark.parametrize("argv", [
         ["oracle", "--expr", "sum()", "--domain", "cube:3", "--range", "3",
          "--l0-cap"],
@@ -288,7 +289,11 @@ class TestErrors:
          "cube:3", "--range", "2", "--l0-cap"],
         ["gen-hard", "--domain", "cube:6", "--r", "2", "--b", "1", "--seed", SEED,
          "--retry-cap"],
-    ], ids=["oracle lipschitz", "oracle parity", "gen-hard"])
+        ["gen-hard", "--domain", "cube:6", "--r", "2", "--b", "1", "--seed", SEED,
+         "--pairs"],
+        ["bench", "--dims", "6", "--queries", "1", "--seed", SEED, "--pairs"],
+    ], ids=["oracle lipschitz", "oracle parity", "gen-hard", "gen-hard pairs",
+            "bench pairs"])
     @pytest.mark.parametrize("value", ["0", "-1", "-5", "x"])
     def test_cap_must_be_positive(self, capsys, argv, value):
         with pytest.raises(SystemExit) as info:

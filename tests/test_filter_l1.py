@@ -342,6 +342,60 @@ class TestGlobalRounds:
         assert len(set(ranked)) == len(ranked)
 
 
+def entry_rounds(g, filt, trace, x, y):
+    """The rounds table() files the pair (x, y) under, in order: from its
+    first-pass score, then after each round s < T that moves x or y, from
+    its score against round s's table, from round s + 1 on.  A score the
+    final threshold does not exceed leaves the pair out of the store and
+    reads None.  Scores are compared with each tau as Fractions."""
+    schedule = filt.schedule
+
+    def entry(table, start):
+        score = abs(table[x] - table[y]) - g.dist(x, y)
+        if score <= schedule.final_threshold:
+            return None
+        return next(s for s in range(start, schedule.rounds + 1)
+                    if score > schedule.tau(s))
+
+    out = [entry(trace[0], 2)]
+    for s in range(2, schedule.rounds):
+        if any(trace[s - 1][v] != trace[s - 2][v] for v in (x, y)):
+            out.append(entry(trace[s - 1], s + 1))
+    return out
+
+
+class TestFiling:
+    """table() files each pair under the first round whose tau its score
+    exceeds, strictly, and a rescan after round s files from round s + 1;
+    a round matches the pairs filed by then that are still in the store."""
+
+    def test_score_equal_to_tau_enters_next_round(self):
+        # 0 and 3 one edge apart at r = 3 score 2 = tau_2, so the pair
+        # enters at round 3 and round 2 moves nothing
+        g = Hypercube(1)
+        f = TableFunction(g, {(0,): Fraction(0), (1,): Fraction(3)}, 3)
+        trace = global_filter_l1(g, f, seed_of(0), trace=True)
+        filt = LocalFilterL1(g, f, seed_of(0))
+        assert filt.schedule.tau(2) == 2
+        assert entry_rounds(g, filt, trace, (0,), (1,))[0] == 3
+        assert trace[1] == trace[0] != trace[2]
+        for t in range(1, filt.schedule.rounds + 1):
+            assert filt.table(t) == trace[t - 1], t
+
+    def test_pair_dropped_then_refiled_at_another_round(self):
+        # the first pass files the pair at round 4 and the rescans at 7 and
+        # 11; then a rescan drops it from the store and a later one files it
+        # again, at round 12
+        g = Hypercube(3)
+        f = random_table(g, random.Random(30), 3)
+        trace = global_filter_l1(g, f, seed_of(0), trace=True)
+        filt = LocalFilterL1(g, f, seed_of(0))
+        x, y = (1, 0, 0), (1, 0, 1)
+        assert entry_rounds(g, filt, trace, x, y)[:5] == [4, 7, 11, None, 12]
+        for t in range(1, filt.schedule.rounds + 1):
+            assert filt.table(t) == trace[t - 1], t
+
+
 class TestPointQueryCost:
     """Five noise-free ``FilterMechanism`` answers on a 12-cube, pinned.
 

@@ -304,6 +304,16 @@ class TestBall:
             ball_of(g, (0,) * 40, 20, budget=200_000)
         assert time.perf_counter() - start < 0.5
 
+    def test_hypercube_budget_read_from_size_table(self):
+        # the ball sizes are a table built with the cube, so a ball of the
+        # 32-cube over budget raises before any mask is built; sizes taken
+        # from the masks would build 2^32 of them for radius 31
+        g = Hypercube(32)
+        assert g._sizes[31] == 2 ** 32 - 1
+        with pytest.raises(BudgetExceeded, match=r"^ball\(0{32}, 31\) "):
+            g.ball(0, 31)
+        assert g._masks == [[0]]
+
     def test_membership_matches_dist(self):
         cube = Hypercube(4)
         grid = Hypergrid(4, 3)
