@@ -10,13 +10,14 @@ distance to any fixed Lipschitz function never grows from round to round.
 The matching of round t is the random-order greedy maximal matching on
 ranks seeded by ``seed.derive("iter", t)``.  Every round asks the one
 violation scan for the pairs scoring above its tau_t and leaves the scan
-to decide how far to look.  ``LocalFilterL1.table`` computes each round
-globally from one store of scans at the final round's threshold, which
-holds every round's violated pairs, each under the first round it enters:
-a round matches only the pairs that have entered by then and are still
-in the store, its live pairs.  ``value`` simulates the same computation
-per query through the seeded matching LCA, which answers exactly the
-global greedy matching, so both give the same values.
+to decide how far to look.  ``LocalFilterL1.table`` computes every round
+globally, once, from scans at the final round's threshold, which find
+every round's violated pairs: each pair found is filed once, under the
+first round it enters, with a count of how often its ends' values have
+moved, and a round matches the pairs filed by then whose ends have not
+moved since.  ``value`` simulates the same computation per query through
+the seeded matching LCA, which answers exactly the global greedy
+matching, so both give the same values.
 """
 from __future__ import annotations
 
@@ -86,9 +87,9 @@ class LocalFilterL1:
     cache of their own.  A round with r - tau_t <= 1 has no violated pair,
     since distinct vertices sit at least 1 apart, and makes no scan.
 
-    ``table(t)`` computes each round globally instead, from one store of
-    the pairs violated at the final round's threshold, each with the round
-    it enters (see ``table``).  It shares the round memos with ``value``
+    ``table(t)`` computes every round globally instead, once, from scans
+    at the final round's threshold whose pairs are filed under the rounds
+    they enter (see ``table``).  It shares the round memos with ``value``
     but not the scans, so the two can be mixed in one session without
     changing any value.  The round memos, the scans and the matchings key
     by vertex id (see ``graphs``); ``value`` and ``table`` take and return
@@ -103,12 +104,6 @@ class LocalFilterL1:
         self.bounds = f.bounds
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
         self._matchers: dict[int, MatchingLCA] = {}
-        self._done = 0  # last round table() has completed
-        # table()'s store {x: {y: entry round}} at the final tau, and in
-        # _filed[s] the pairs round s will check: those filed under s and
-        # round s - 1's live pairs
-        self._store: dict[int, dict[int, int]] = {}
-        self._filed: list[list] = [[] for _ in range(self.schedule.rounds + 1)]
 
     # -- round values ---------------------------------------------------
 
@@ -163,81 +158,87 @@ class LocalFilterL1:
         return self._value(self.graph.index(x), self._round_arg(t))
 
     def table(self, t: int | None = None) -> dict:
-        """Full table at round t, computing rounds in order.
+        """Full table at round t; the first call computes every round.
 
         tau_s shrinks as s grows, so one scan per vertex at the final
-        round's threshold holds every round's edges.  Round 2 makes those
-        scans against round 1, upward only: each vertex walks the ball a
-        partner of higher value can sit in, and each pair it finds is
-        written into the store under both ends, so every violated pair is
-        scored once, from its lower end, and a vertex at the top of the
-        range walks nothing.  The store maps x -> {y: s0}, where s0 is the
-        pair's entry round: the first round, from 2 on, whose tau the score
-        exceeds, decided in ints when the pair is written.  No score is
-        kept, since the taus are fixed and a score exceeding tau_s0 exceeds
-        every later tau.  Each pair written is also filed under s0.
+        round's threshold holds every round's edges.  The first scans are
+        made against round 1, upward only: each vertex walks the ball a
+        partner of higher value can sit in, so every violated pair is
+        found once, from its lower end, and a vertex at the top of the
+        range walks nothing.  Each pair found is filed under its entry
+        round: the first round, from 2 on, whose tau the score exceeds,
+        decided in ints.  No score is kept, since the taus are fixed and a
+        score exceeding tau_s0 exceeds every later tau.  Beside the pair
+        goes the sum of its ends' move counts, the number of times each
+        end's value has moved so far.
 
-        Round s matches its live pairs with the global greedy matching on
-        the LCA's ranks: the pairs filed under s and round s - 1's live
-        pairs, less those whose entry in the store is gone or later than s.
-        So a round reads one store entry per live pair and never walks the
-        whole store; a pair filed twice is matched once, since the
-        matching drops repeated edges.  Each matched pair's values move
-        toward each other by delta_s, and the round replaces the values
-        ``value`` memoized for round s, which equal the new table by
-        construction.  Before the next round each moved value c leaves the
-        store rows of its old partners, and one rescan of c against the new
-        table, which looks both ways since c's partners may sit on either
-        side, writes every pair above the final threshold back, filed from
-        round s + 1.  Scores are symmetric and a scan holds every partner
-        above its threshold, so this gives the store a fresh session would
-        make.  The final round drops the store.  A final threshold with
-        r - tau <= 1 leaves every round without an edge and makes no scan.
-        A later call resumes after the last round done.
+        Round s matches those of the pairs filed under rounds <= s whose
+        ends' counts have not changed, with the global greedy matching on
+        the LCA's ranks; the others are stale and are dropped for good.
+        Counts only grow, so the sum is unchanged only if both counts are.
+        Each matched pair's values move toward each other by delta_s, and
+        the round replaces the values ``value`` memoized for round s,
+        which equal the new table by construction.  Before the next round
+        the count of each moved value c goes up by one, and then one
+        rescan of c against the new table, which looks both ways since c's
+        partners may sit on either side, files every pair above the final
+        threshold from round s + 1, except a partner that also moved and
+        has the smaller id: scores are symmetric, so that partner's own
+        rescan files the pair.  Each pair whose ends have not moved since
+        it was filed is then filed once, as a fresh session would file it.
+        A final threshold with r - tau <= 1 leaves every round without an
+        edge and makes no scan.
         """
         t = self._round_arg(t)
         rounds = self.schedule.rounds
-        never = rounds + 1
+        # a value memoized for round t sits on the round t - 1 value of
+        # the same vertex, so a full last round means full rounds
+        if len(self._tables[rounds]) < self.graph.n_vertices:
+            self._run_rounds()
+        table = self._tables[t]
+        return {x: table[i] for i, x in enumerate(self.graph.vertices())}
+
+    def _run_rounds(self) -> None:
+        """Every round's table, computed globally; see ``table``."""
+        rounds = self.schedule.rounds
         ids = range(self.graph.n_vertices)
         final = self.schedule.final_threshold
-        store, filed = self._store, self._filed
         # tau_s = A[s] / B[s] for s = 2..T
         A, B = [0, 0], [1, 1]
         for s in range(2, rounds + 1):
             tau = self.schedule.tau(s)
             A.append(tau.numerator)
             B.append(tau.denominator)
+        moves = [0] * len(ids)  # times each value has moved
+        # filed[s]: (x, y, moves[x] + moves[y]) for the pairs filed under s
+        filed: list[list] = [[] for _ in range(rounds + 1)]
 
-        def scan(v, table, start, upward=False):
+        def scan(v, table, start, upward=False, moved=()):
             # a score n/m enters at the first round s >= start with
             # n/m > A[s]/B[s]; it exceeds the final tau, so one exists
-            row = store[v]
             for y, score in scan_scored_neighbors(
                     self.graph, table.get, v, tau=final, bounds=self.bounds,
                     upward=upward).items():
+                if y < v and y in moved:
+                    continue
                 n, m = score.numerator, score.denominator
                 s0 = start
                 while n * B[s0] <= A[s0] * m:
                     s0 += 1
-                row[y] = store[y][v] = s0
-                filed[s0].append((v, y))
+                filed[s0].append((v, y, moves[v] + moves[y]))
 
-        for s in range(self._done + 1, t + 1):
-            if s == 1:
-                for i in ids:
-                    self._value(i, 1)
-                self._done = 1
-                continue
-            old = self._tables[s - 1]
-            if s == 2 and self.schedule.r - final > 1:
-                for v in ids:
-                    store[v] = {}
-                for v in ids:
-                    scan(v, old, 2, upward=True)
-            live = [(x, y) for x, y in filed[s] if store[x].get(y, never) <= s]
-            filed[s] = []
+        for i in ids:
+            self._value(i, 1)
+        if self.schedule.r - final > 1:
+            for v in ids:
+                scan(v, self._tables[1], 2, upward=True)
+        live = []
+        for s in range(2, rounds + 1):
+            live = [p for p in live + filed[s] if moves[p[0]] + moves[p[1]] == p[2]]
             partner = greedy_maximal_matching(
-                live, self.seed.derive("iter", s), encode=self.graph.canon_of)
+                [(x, y) for x, y, _ in live], self.seed.derive("iter", s),
+                encode=self.graph.canon_of)
+            old = self._tables[s - 1]
             new = dict(old)
             delta = self.schedule.delta(s)
             for u, w in partner.items():
@@ -249,18 +250,11 @@ class LocalFilterL1:
                     else:
                         new[u], new[w] = a - delta, b + delta
             self._tables[s] = new
-            self._done = s
-            if s == rounds:
-                store.clear()
-                continue
-            filed[s + 1] += live
-            for c in partner:
-                for y in store[c]:
-                    del store[y][c]
-                store[c] = {}
-                scan(c, new, s + 1)
-        table = self._tables[t]
-        return {x: table[i] for i, x in enumerate(self.graph.vertices())}
+            if s < rounds:
+                for c in partner:
+                    moves[c] += 1
+                for c in partner:
+                    scan(c, new, s + 1, moved=partner)
 
 
 def global_filter_l1(graph, f, seed: Seed, *, slack=DEFAULT_SLACK,

@@ -150,8 +150,6 @@ class Hypergrid(_BallMixin):
         self.n_vertices = n**d
         self.diameter = (n - 1) * d
         self._width = len(str(n))
-        # the place value of each coordinate in an id, coordinate 0 first
-        self._strides = [n ** (d - 1 - j) for j in range(d)]
 
     def __repr__(self):
         return f"Hypergrid(n={self.n}, d={self.d})"
@@ -202,15 +200,18 @@ class Hypergrid(_BallMixin):
         return tuple(out)
 
     def _id_neighbors(self, i) -> list:
-        # the coordinate at place value s is (i // s) % n
+        # peel the id's base-n digits, last coordinate first: digit c sits
+        # at place value s; the BFS sorts each layer, so output order is free
         n = self.n
         out = []
-        for s in self._strides:
-            c = i // s % n
+        q, s = i, 1
+        for _ in range(self.d):
+            q, c = divmod(q, n)
             if c > 0:
                 out.append(i - s)
             if c < n - 1:
                 out.append(i + s)
+            s *= n
         return out
 
     def edges(self) -> Iterator[tuple]:
@@ -247,9 +248,10 @@ class Hypercube(Hypergrid):
             raise InvalidArgs(f"hypercube needs d >= 1, got {d}")
         super().__init__(2, d)
         self._bits = f"0{d}b"  # format spec of an id's d bits
-        # _sizes[k]: the vertices within distance k, sum_{j <= k} C(d, j)
-        self._sizes = list(itertools.accumulate(math.comb(d, k) for k in range(d + 1)))
-        # _masks[k]: the d-bit ints of Hamming weight k, built by _ball on use
+        # _sizes[k]: the vertices within distance k, sum_{j <= k} C(d, j),
+        # and _masks[k]: the d-bit ints of Hamming weight k, both extended
+        # by _ball on use
+        self._sizes = [1]
         self._masks = [[0]]
 
     def __repr__(self):
@@ -282,7 +284,10 @@ class Hypercube(Hypergrid):
         # coordinates, so layer k is i XOR each weight-k mask, sorted.
         d = self.d
         limit = min(radius, d)
-        if self._sizes[limit] > budget:
+        sizes = self._sizes
+        while len(sizes) <= limit:
+            sizes.append(sizes[-1] + math.comb(d, len(sizes)))
+        if sizes[limit] > budget:
             return None
         masks = self._masks
         while len(masks) <= limit:

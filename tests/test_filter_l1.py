@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipfilter import filter_l1, matching
 from lipfilter.seeds import edge_rank
@@ -152,14 +153,13 @@ def clipped_cone(cube, rng, lo=Fraction(-1, 2), r=3, k=8):
 
 class TestScanCarry:
     """table() scans every vertex once, at the final round's threshold,
-    and updates those scans in place after each round s < T: every value
-    that moved in round s is rescanned once, against the round-s table,
-    and its scores are written into its own scan and its partners'.  Each
-    round reads its edges from the same scans, the pairs scoring above
-    tau_s.  At r = 3 a tau_t-violated partner sits within 0, 1 and 2 in
-    rounds 2, 3 and 4, and within 2 later; at r = 2 within 0 in round 2
-    and 1 later.  A final threshold with r - tau <= 1 makes no scan, since
-    no round can have a violated pair."""
+    and rescans after each round s < T every value that moved in round s,
+    once, against the round-s table.  Each round reads its edges from
+    those scans: the pairs scoring above tau_s whose ends have not moved
+    since they were found.  At r = 3 a tau_t-violated partner sits within
+    0, 1 and 2 in rounds 2, 3 and 4, and within 2 later; at r = 2 within 0
+    in round 2 and 1 later.  A final threshold with r - tau <= 1 makes no
+    scan, since no round can have a violated pair."""
 
     CUBE = Hypercube(8)
 
@@ -262,6 +262,30 @@ class TestScanCarry:
         assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0))
         assert taus and set(taus) == {filt.schedule.final_threshold}
 
+    def test_each_round_matches_its_violated_pairs_once(self, monkeypatch):
+        """Each round hands the matching the tau_s-violated pairs of the
+        round s - 1 table, each pair once."""
+        handed = []
+        match = filter_l1.greedy_maximal_matching
+
+        def recording(edges, seed, **kwargs):
+            handed.append([(x, y) if x < y else (y, x) for x, y in edges])
+            return match(edges, seed, **kwargs)
+
+        monkeypatch.setattr(filter_l1, "greedy_maximal_matching", recording)
+        for g, f, seed in self.graph_instances():
+            trace = global_filter_l1(g, f, seed, trace=True)
+            filt = LocalFilterL1(g, f, seed)
+            handed.clear()
+            assert filt.table() == trace[-1]
+            schedule = filt.schedule
+            assert len(handed) == schedule.rounds - 1
+            for s, pairs in enumerate(handed, start=2):
+                expected = {(g.index(x), g.index(y)) for x, y, _ in violated_pairs_of(
+                    g, trace[s - 2].get, tau=schedule.tau(s), bounds=f.bounds)}
+                assert len(set(pairs)) == len(pairs), (g, s)
+                assert set(pairs) == expected, (g, s)
+
     def test_partial_table_then_full(self):
         for f, seed in self.instances():
             filt = LocalFilterL1(self.CUBE, f, seed)
@@ -346,8 +370,8 @@ def entry_rounds(g, filt, trace, x, y):
     """The rounds table() files the pair (x, y) under, in order: from its
     first-pass score, then after each round s < T that moves x or y, from
     its score against round s's table, from round s + 1 on.  A score the
-    final threshold does not exceed leaves the pair out of the store and
-    reads None.  Scores are compared with each tau as Fractions."""
+    final threshold does not exceed leaves the pair unfiled and reads
+    None.  Scores are compared with each tau as Fractions."""
     schedule = filt.schedule
 
     def entry(table, start):
@@ -367,7 +391,8 @@ def entry_rounds(g, filt, trace, x, y):
 class TestFiling:
     """table() files each pair under the first round whose tau its score
     exceeds, strictly, and a rescan after round s files from round s + 1;
-    a round matches the pairs filed by then that are still in the store."""
+    a round matches the pairs filed by then whose ends have not moved
+    since."""
 
     def test_score_equal_to_tau_enters_next_round(self):
         # 0 and 3 one edge apart at r = 3 score 2 = tau_2, so the pair
@@ -384,7 +409,7 @@ class TestFiling:
 
     def test_pair_dropped_then_refiled_at_another_round(self):
         # the first pass files the pair at round 4 and the rescans at 7 and
-        # 11; then a rescan drops it from the store and a later one files it
+        # 11; then a rescan leaves it unfiled and a later one files it
         # again, at round 12
         g = Hypercube(3)
         f = random_table(g, random.Random(30), 3)
@@ -392,6 +417,46 @@ class TestFiling:
         filt = LocalFilterL1(g, f, seed_of(0))
         x, y = (1, 0, 0), (1, 0, 1)
         assert entry_rounds(g, filt, trace, x, y)[:5] == [4, 7, 11, None, 12]
+        for t in range(1, filt.schedule.rounds + 1):
+            assert filt.table(t) == trace[t - 1], t
+
+
+@st.composite
+def l1_instances(draw):
+    """(graph, f, slack): a cube with d <= 5, a grid with n <= 4 and d <= 3,
+    or a random connected graph of at most 30 vertices; lo in [-3, 3) and
+    r > 0 with a denominator of 1, 2 or 3, and values on lo + (1/den)Z."""
+    kind = draw(st.sampled_from(["cube", "grid", "explicit"]))
+    if kind == "cube":
+        g = Hypercube(draw(st.integers(1, 5)))
+    elif kind == "grid":
+        g = Hypergrid(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        g = random_connected_graph(rng, draw(st.integers(1, 30)),
+                                   extra=draw(st.integers(0, 10)))
+    den = draw(st.sampled_from([1, 2, 3]))
+    steps = draw(st.integers(1, 4 * den))
+    r = Fraction(steps, den)
+    lo = Fraction(draw(st.integers(-3 * den, 3 * den - 1)), den)
+    values = draw(st.lists(st.integers(0, steps), min_size=g.n_vertices,
+                           max_size=g.n_vertices))
+    f = TableFunction(g, {x: lo + Fraction(j, den) for x, j in zip(g.vertices(), values)},
+                      r, lo=lo)
+    slack = draw(st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(1)]))
+    return g, f, slack
+
+
+class TestRoundsProperty:
+    """Every round of table() equals the global reference's round."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(l1_instances(), st.integers(0, 2 ** 16))
+    def test_every_round_equals_global_trace(self, instance, i):
+        g, f, slack = instance
+        trace = global_filter_l1(g, f, seed_of(i), slack=slack, trace=True)
+        filt = LocalFilterL1(g, f, seed_of(i), slack=slack)
+        assert filt.schedule.rounds == len(trace)
         for t in range(1, filt.schedule.rounds + 1):
             assert filt.table(t) == trace[t - 1], t
 

@@ -305,14 +305,24 @@ class TestBall:
         assert time.perf_counter() - start < 0.5
 
     def test_hypercube_budget_read_from_size_table(self):
-        # the ball sizes are a table built with the cube, so a ball of the
-        # 32-cube over budget raises before any mask is built; sizes taken
-        # from the masks would build 2^32 of them for radius 31
+        # the ball sizes are a table extended up to the radius asked, so a
+        # ball of the 32-cube over budget raises before any mask is built;
+        # sizes taken from the masks would build 2^32 of them for radius 31
         g = Hypercube(32)
-        assert g._sizes[31] == 2 ** 32 - 1
         with pytest.raises(BudgetExceeded, match=r"^ball\(0{32}, 31\) "):
             g.ball(0, 31)
+        assert g._sizes[31] == 2 ** 32 - 1
         assert g._masks == [[0]]
+
+    @pytest.mark.parametrize("g", [Hypercube(5_000), Hypergrid(2, 5_000)], ids=repr)
+    def test_large_dimension_builds_no_per_dimension_table(self, g):
+        # a table with an entry per dimension, built with the graph, makes
+        # construction quadratic in d; the radius-1 ball needs none of it
+        held = [len(v) for v in vars(g).values() if isinstance(v, (list, tuple, dict))]
+        assert max(held, default=0) <= 1
+        ball = g.ball(0, 1)
+        assert len(ball) == g.d + 1
+        assert ball == [(0, 0)] + [(1 << k, 1) for k in range(g.d)]
 
     def test_membership_matches_dist(self):
         cube = Hypercube(4)
