@@ -90,7 +90,7 @@ class LocalFilterL0:
         self.lo = f.lo
         self.bounds = f.bounds
         self._values = ValueMemo(lambda i: f.lookup(graph.vertex(i)))
-        self._answers: dict = {}
+        self._answers = ValueMemo(self._value)
         self._matcher = MatchingLCA(self._viol_adjacent, seed, encode=graph.canon_of)
 
     def _viol_adjacent(self, v):
@@ -113,15 +113,7 @@ class LocalFilterL0:
 
     def value(self, x):
         """g(x).  Undefined exactly where f is undefined."""
-        return self._answer(self.graph.index(x))
-
-    def _answer(self, i):
-        try:
-            return self._answers[i]
-        except KeyError:
-            pass
-        g = self._answers[i] = self._value(i)
-        return g
+        return self._answers[self.graph.index(x)]
 
     def _value(self, i):
         values = self._values
@@ -159,4 +151,4 @@ class LocalFilterL0:
                 if match_of(i) is not None}
 
     def table(self) -> dict:
-        return {x: self._answer(i) for i, x in enumerate(self.graph.vertices())}
+        return {x: self._answers[i] for i, x in enumerate(self.graph.vertices())}

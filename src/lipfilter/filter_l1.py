@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam, PartialFunction
+from .functions import ValueMemo
 from .matching import MatchingLCA, greedy_maximal_matching
 from .seeds import Seed
 from .violation import _violated_pairs, scan_scored_neighbors
@@ -84,8 +85,7 @@ class LocalFilterL1:
     so repeated queries share work.  Round t's neighbour oracle scans the
     round t - 1 values for the partners scoring above round t's own tau_t;
     the LCA reads each vertex's neighbours once, so the scans need no
-    cache of their own.  A round with r - tau_t <= 1 has no violated pair,
-    since distinct vertices sit at least 1 apart, and makes no scan.
+    cache of their own.
 
     ``table(t)`` computes every round globally instead, once, from scans
     at the final round's threshold whose pairs are filed under the rounds
@@ -103,7 +103,7 @@ class LocalFilterL1:
         self.schedule = make_schedule(f.r, slack)
         self.bounds = f.bounds
         self._tables: dict[int, dict] = {t: {} for t in range(1, self.schedule.rounds + 1)}
-        self._matchers: dict[int, MatchingLCA] = {}
+        self._matchers = ValueMemo(self._new_matcher)
 
     # -- round values ---------------------------------------------------
 
@@ -119,7 +119,7 @@ class LocalFilterL1:
                     f"filter needs a total function; f({self.graph.canon_of(i)}) = ?")
         else:
             v = self._value(i, t - 1)
-            partner = self._matcher(t).match_of(i)
+            partner = self._matchers[t].match_of(i)
             if partner is not None:
                 w = self._value(partner, t - 1)
                 delta = self.schedule.delta(t)
@@ -127,23 +127,16 @@ class LocalFilterL1:
         memo[i] = v
         return v
 
-    def _matcher(self, t: int) -> MatchingLCA:
-        m = self._matchers.get(t)
-        if m is None:
-            tau = self.schedule.tau(t)
-            edgeless = self.schedule.r - tau <= 1
+    def _new_matcher(self, t: int) -> MatchingLCA:
+        tau = self.schedule.tau(t)
 
-            def adjacent(v):
-                if edgeless:
-                    return []
-                return list(scan_scored_neighbors(
-                    self.graph, lambda y: self._value(y, t - 1), v, tau=tau,
-                    bounds=self.bounds))
+        def adjacent(v):
+            return list(scan_scored_neighbors(
+                self.graph, lambda y: self._value(y, t - 1), v, tau=tau,
+                bounds=self.bounds))
 
-            m = MatchingLCA(
-                adjacent, self.seed.derive("iter", t), encode=self.graph.canon_of)
-            self._matchers[t] = m
-        return m
+        return MatchingLCA(
+            adjacent, self.seed.derive("iter", t), encode=self.graph.canon_of)
 
     # -- public API -----------------------------------------------------
 
@@ -186,8 +179,6 @@ class LocalFilterL1:
         has the smaller id: scores are symmetric, so that partner's own
         rescan files the pair.  Each pair whose ends have not moved since
         it was filed is then filed once, as a fresh session would file it.
-        A final threshold with r - tau <= 1 leaves every round without an
-        edge and makes no scan.
         """
         t = self._round_arg(t)
         rounds = self.schedule.rounds
@@ -229,9 +220,8 @@ class LocalFilterL1:
 
         for i in ids:
             self._value(i, 1)
-        if self.schedule.r - final > 1:
-            for v in ids:
-                scan(v, self._tables[1], 2, upward=True)
+        for v in ids:
+            scan(v, self._tables[1], 2, upward=True)
         live = []
         for s in range(2, rounds + 1):
             live = [p for p in live + filed[s] if moves[p[0]] + moves[p[1]] == p[2]]

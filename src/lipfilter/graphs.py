@@ -51,7 +51,7 @@ class _BallMixin:
     budget.
 
     ``check_vertex`` raises OutOfDomain unless the graph's ``contains``
-    accepts its argument, and ``_check_id`` unless its argument is an int
+    accepts its argument, and ``check_id`` unless its argument is an int
     id, not a bool, in ``range(n_vertices)``.  ``from_canon`` inverts
     ``canon`` exactly: it decodes through the graph's ``_decode`` and
     raises OutOfDomain unless the result is a vertex whose ``canon`` gives
@@ -65,7 +65,7 @@ class _BallMixin:
         if not self.contains(x):
             raise OutOfDomain(f"{x!r} is not a vertex of {self!r}")
 
-    def _check_id(self, i) -> None:
+    def check_id(self, i) -> None:
         if type(i) is not int or not 0 <= i < self.n_vertices:
             raise OutOfDomain(f"{i!r} is not a vertex id of {self!r}")
 
@@ -91,13 +91,13 @@ class _BallMixin:
         ``i``, as (id, dist) pairs sorted by (distance, id), which is
         (distance, vertex) order; [] for a negative radius.
 
-        ``i`` must pass ``_check_id``.  ``radius`` and ``budget`` are ints;
+        ``i`` must pass ``check_id``.  ``radius`` and ``budget`` are ints;
         anything else, a bool or an integral float included, raises
         InvalidParam.  Raises BudgetExceeded, naming the centre in
         canonical form, if and only if the ball has more than ``budget``
         vertices.
         """
-        self._check_id(i)
+        self.check_id(i)
         if type(radius) is not int or type(budget) is not int:
             raise InvalidParam(
                 f"ball needs an int radius and budget, got {radius!r} and {budget!r}")
@@ -191,7 +191,7 @@ class Hypergrid(_BallMixin):
 
     def vertex(self, i) -> tuple:
         """The vertex whose id is ``i``."""
-        self._check_id(i)
+        self.check_id(i)
         n, base = self.n, self.base
         out = [0] * self.d
         for j in range(self.d - 1, -1, -1):
@@ -270,22 +270,26 @@ class Hypercube(Hypergrid):
         return int(bytes(x).translate(_DIGITS), 2)
 
     def vertex(self, i) -> tuple:
-        self._check_id(i)
+        self.check_id(i)
         return tuple(format(i, self._bits).encode().translate(_UNDIGITS))
 
     def canon_of(self, i) -> str:
         # an id's d bits are its vertex's canon, with no tuple built
-        self._check_id(i)
+        self.check_id(i)
         return format(i, self._bits)
 
     def _ball(self, i, radius: int, budget: int):
         # The ball has _sizes[limit] vertices, limit = min(radius, d), so the
-        # budget is decided before any mask is built.  An id's bits are its
-        # coordinates, so layer k is i XOR each weight-k mask, sorted.
+        # budget is decided before any mask is built, and sizes grow with
+        # the radius, so the table stops at the first size past the budget.
+        # An id's bits are its coordinates, so layer k is i XOR each
+        # weight-k mask, sorted.
         d = self.d
         limit = min(radius, d)
         sizes = self._sizes
         while len(sizes) <= limit:
+            if sizes[-1] > budget:
+                return None
             sizes.append(sizes[-1] + math.comb(d, len(sizes)))
         if sizes[limit] > budget:
             return None
@@ -359,7 +363,7 @@ class ExplicitGraph(_BallMixin):
         return x
 
     def vertex(self, i) -> int:
-        self._check_id(i)
+        self.check_id(i)
         return i
 
     def _id_neighbors(self, i) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidParam, RetryExhausted
 from .functions import CallableFunction, _domain_to_json, _graph_from_domain
-from .graphs import Hypergrid, read_int
+from .graphs import Hypergrid, random_vertex, read_int
 from .seeds import Seed
 
 DEFAULT_PAIRS = 8
@@ -141,7 +141,7 @@ def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
     placed = []
     for _ in range(m):
         for _attempt in range(retry_cap):
-            a = tuple(graph.base + rng.randrange(graph.n) for _ in range(graph.d))
+            a = random_vertex(graph, rng)
             ap = _random_at_distance(graph, a, r - b, rng)
             if all(
                 graph.dist(u, w) > thr for u in (a, ap) for w in placed

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InvalidParam, PartialFunction
 from .filter_l0 import LocalFilterL0
 from .filter_l1 import LocalFilterL1
-from .functions import parse_rational
+from .functions import ValueMemo, parse_rational
 from .graphs import DEFAULT_SCAN_BUDGET, Hypergrid
 from .seeds import Seed
 
@@ -91,10 +91,11 @@ class BinarySearchMechanism:
     - 2D), with v0 read through f clipped to [lo, hi].  Elsewhere L = lo.
     The anchor depends on f alone, not on the query, and a ? at x0
     raises PartialFunction.  Each probe i in 2..ceil(log2 r') filters f
-    restricted to [t - 2a, t + 2a] where a is the accuracy radius, then
-    takes a noised reading.  A reading inside the band [t - a, t + a] is
-    released immediately; otherwise the center t moves by ceil(r' / 2^i)
-    toward the reading and the search continues.  Filter sessions are
+    clipped to the part of [L + t - 2a, L + t + 2a] inside the window,
+    where a is the accuracy radius, then takes a noised reading, read
+    from L.  A reading inside the band [t - a, t + a] is released
+    immediately; otherwise the center t moves by ceil(r' / 2^i) toward
+    the reading and the search continues.  Filter sessions are
     cached per (probe, center) so repeated trials share their scans.  An
     answer releases its noised value and its probe count, a function of
     the noised readings.  On a grid no wider than the window, a session
@@ -136,33 +137,31 @@ class BinarySearchMechanism:
             * Fraction(math.log2(200 * self.kappa))
         )
         self.noise_scale = Fraction(self.kappa) / self.eps
-        self._sessions = {}
+        self._sessions = ValueMemo(self._session)
 
     def _probes(self):
         last = max(2, math.ceil(self.kappa))
         return range(2, last + 1)
 
-    def _session(self, i, t):
-        key = (i, t)
-        sess = self._sessions.get(key)
-        if sess is None:
-            lo = self.lo
-            f_i = self.f.clip(max(lo, lo + t - 2 * self.alpha),
-                              min(lo + self.r, lo + t + 2 * self.alpha))
-            sess = LocalFilterL0(self.graph, f_i, self.seed.derive("search", i))
-            # A scan walks only as far as f(x)'s distance to the window's
-            # ends allows, so without this the values the first answers
-            # read would depend on where x and f(x) sit.  When the window
-            # is as wide as the grid's diameter, the table costs at most a
-            # few reads more than one full-radius scan; if it also fits the
-            # scan budget, the session reads it when it opens, and an
-            # answer then reads n^d values for each session it opens and
-            # nothing else.
-            graph = self.graph
-            if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
-                    and graph.n_vertices <= DEFAULT_SCAN_BUDGET):
-                sess.read_table()
-            self._sessions[key] = sess
+    def _session(self, key):
+        """The filter session of probe i at centre t, for key = (i, t)."""
+        i, t = key
+        lo = self.lo
+        f_i = self.f.clip(max(lo, lo + t - 2 * self.alpha),
+                          min(lo + self.r, lo + t + 2 * self.alpha))
+        sess = LocalFilterL0(self.graph, f_i, self.seed.derive("search", i))
+        # A scan walks only as far as f(x)'s distance to the window's
+        # ends allows, so without this the values the first answers
+        # read would depend on where x and f(x) sit.  When the window
+        # is as wide as the grid's diameter, the table costs at most a
+        # few reads more than one full-radius scan; if it also fits the
+        # scan budget, the session reads it when it opens, and an
+        # answer then reads n^d values for each session it opens and
+        # nothing else.
+        graph = self.graph
+        if (isinstance(graph, Hypergrid) and f_i.r >= graph.diameter
+                and graph.n_vertices <= DEFAULT_SCAN_BUDGET):
+            sess.read_table()
         return sess
 
     def answer(self, x, noise: NoiseSource | None = None) -> MechanismResult:
@@ -171,7 +170,7 @@ class BinarySearchMechanism:
         reading = None
         for i in self._probes():
             count += 1
-            g = self._session(i, t).value(x)
+            g = self._sessions[i, t].value(x)
             if g is None:
                 raise PartialFunction(
                     f"binary search needs a defined value; f({self.graph.canon(x)}) = ?")

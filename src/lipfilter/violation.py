@@ -10,8 +10,10 @@ oracle's ``bounds``, not its claimed range).  A partner needs
 dist(x, y) < |f(x) - f(y)| - tau <= max(hi - f(x), f(x) - lo) - tau, so
 the scan walks the ball of radius ceil(max(hi - f(x), f(x) - lo) - tau)
 - 1 and nothing farther: a centre whose value sits mid-range, or a large
-tau, walks a small ball.  An upward scan finds each violated pair once,
-from its lower end: it keeps only the partners with f(y) > f(x), which sit
+tau, walks a small ball.  Distinct vertices sit at least 1 apart, so a
+reach below 1 holds no partner and walks no ball; callers leave that
+rule to the scan.  An upward scan finds each violated pair once, from
+its lower end: it keeps only the partners with f(y) > f(x), which sit
 within ceil(hi - f(x) - tau) - 1, so a centre at hi walks nothing.  The
 l1 table's first pass makes upward scans; every other caller, and the
 whole-graph references below, scan both ways.
@@ -52,7 +54,10 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
     ceil(max(hi - f(x), f(x) - lo) - tau) - 1, so that is the ball walked.
     With ``upward=True`` only the y with f(y) > f(x) are kept; none sits
     farther than ceil(hi - f(x) - tau) - 1, so that smaller ball is walked.
-    Either ball is held to the ball layer's vertex budget.
+    A reach below 1 holds no vertex but x, so then no ball is walked and
+    the scan returns {} once ``x`` passes the graph's ``check_id``, the
+    check ``ball`` makes.  Either ball is held to the ball layer's vertex
+    budget.
     """
     fx = lookup(x)
     if fx is None:
@@ -73,6 +78,9 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
     else:
         down = (s * B - (av - ub) * t) // (B * t)  # -ceil(fx - tau - lo)
         radius = -(up if up < down else down) - 1
+    if radius < 1:
+        graph.check_id(x)
+        return {}
     # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): whether it
     # exceeds tau is decided in ints, an upward scan drops fy <= fx (c*b <=
     # a*e) before the score is computed, a non-positive numerator is

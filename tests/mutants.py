@@ -40,7 +40,9 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+L0 = "lipfilter/filter_l0.py"
 L1 = "lipfilter/filter_l1.py"
+SCAN = "lipfilter/violation.py"
 BUMP = """                for c in partner:
                     moves[c] += 1
 """
@@ -53,6 +55,9 @@ ONCE = ("tests/test_filter_l1.py::TestScanCarry::"
         "test_each_round_matches_its_violated_pairs_once")
 FILING = "tests/test_filter_l1.py::TestFiling::test_pair_dropped_then_refiled_at_another_round"
 TAU = "tests/test_filter_l1.py::TestFiling::test_score_equal_to_tau_enters_next_round"
+STRICT = "tests/test_violation.py::TestThreshold::test_strict_above_tau"
+BOUND = "tests/test_violation.py::TestScanCap::test_walks_the_bound_computed_in_fractions"
+MEMO = "tests/test_filter_l0.py::TestLocal::test_answers_memoized"
 
 MUTANTS = [
     # a pair filed before one of its ends moved stays live
@@ -67,6 +72,13 @@ MUTANTS = [
     Mutant("l1-file-at-start-round", L1, """                while n * B[s0] <= A[s0] * m:
                     s0 += 1
 """, "", (ROUNDS, TRACE, ONCE, FILING, TAU)),
+    # a scan whose reach is exactly 1 walks no ball, and misses the
+    # partners at distance 1
+    Mutant("scan-reach-below-two", SCAN, "if radius < 1:", "if radius < 2:",
+           (STRICT, BOUND)),
+    # every l0 answer is computed afresh, walking its ball again
+    Mutant("l0-value-skips-memo", L0, "return self._answers[self.graph.index(x)]",
+           "return self._value(self.graph.index(x))", (MEMO,)),
 ]
 
 

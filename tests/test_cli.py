@@ -267,6 +267,25 @@ class TestErrors:
             main(["filter", "--all"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--expr", "sum()", "--range", "3"],
+         "--expr needs --domain and --range"),
+        (["oracle", "--expr", "sum()", "--domain", "cube:3"],
+         "--expr needs --domain and --range"),
+        (["filter", "--expr", "sum()", "--domain", "cube:3", "--range", "3"],
+         "provide --query CANON (repeatable) or --all"),
+        (["gen-hard", "--domain", "cube:17", "--r", "2", "--b", "1", "--seed", SEED,
+          "--values"], "--values only for domains with at most 2^16 vertices"),
+    ], ids=["expr without domain", "expr without range", "filter without query",
+            "gen-hard values past 2^16"])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.rstrip().endswith(f"error: {message}")
+        assert captured.out == ""
+
     # the budgets are constants of the layers that spend them, so no budget
     # value, positive or not, is taken from the command line
     @pytest.mark.parametrize("flag", ["--scan-budget", "--match-budget"])

@@ -243,6 +243,11 @@ class TestSimplex:
         with pytest.raises(LPUnbounded):
             solve_min([Fraction(-1)], [[Fraction(1)]], [Fraction(0)])
 
+    def test_lingering_artificial_pivoted_out(self):
+        # min x1 s.t. 2 x1 >= 2 and x1 + x2 <= 1: phase 1 ends with an
+        # artificial still basic at 0, and the cleanup pivots it out
+        assert solve_min([1, 0], [[2, 0], [-1, -1]], [2, -1]) == (1, [1, 0])
+
     def test_degenerate_cycling_guard(self):
         # classic degenerate instance; Bland's rule must terminate
         c = [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)]

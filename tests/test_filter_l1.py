@@ -158,8 +158,8 @@ class TestScanCarry:
     those scans: the pairs scoring above tau_s whose ends have not moved
     since they were found.  At r = 3 a tau_t-violated partner sits within
     0, 1 and 2 in rounds 2, 3 and 4, and within 2 later; at r = 2 within 0
-    in round 2 and 1 later.  A final threshold with r - tau <= 1 makes no
-    scan, since no round can have a violated pair."""
+    in round 2 and 1 later.  A scan at a threshold with r - tau <= 1
+    walks no ball, since no round can have a violated pair there."""
 
     CUBE = Hypercube(8)
 
@@ -228,29 +228,62 @@ class TestScanCarry:
         monkeypatch.setattr(filter_l1, "scan_scored_neighbors", recording)
         return taus
 
-    def test_radius_zero_round_makes_no_scan(self, monkeypatch):
+    def record_walks(self, monkeypatch):
+        """Patch the scans of ``filter_l1`` and the cube's balls; returns
+        the list of scanned taus and the list of the taus of the scans
+        that walked a ball, one entry per ball.  A point query's scan
+        reads values that may scan lower rounds first, so a ball belongs
+        to the innermost scan open when it is walked."""
+        scanned, walked, open_taus = [], [], []
+        scan = filter_l1.scan_scored_neighbors
+        ball = self.CUBE.ball
+
+        def recording(*args, tau, **kwargs):
+            scanned.append(tau)
+            open_taus.append(tau)
+            try:
+                return scan(*args, tau=tau, **kwargs)
+            finally:
+                open_taus.pop()
+
+        def walking(*args, **kwargs):
+            walked.append(open_taus[-1])
+            return ball(*args, **kwargs)
+
+        monkeypatch.setattr(filter_l1, "scan_scored_neighbors", recording)
+        monkeypatch.setattr(self.CUBE, "ball", walking)
+        return scanned, walked
+
+    def test_radius_zero_round_walks_no_ball(self, monkeypatch):
         """Round 2 at r = 2 has r - tau_2 = 2/3 <= 1: neither table() nor
-        a point query scans at its threshold."""
-        taus = self.record_taus(monkeypatch)
+        a point query walks a ball at its threshold."""
         f = random_table(self.CUBE, random.Random(7), 2)
+        want = global_filter_l1(self.CUBE, f, seed_of(0))
+        scanned, walked = self.record_walks(monkeypatch)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0))
         tau2 = filt.schedule.tau(2)
         assert scan_radii(filt)[2] == 0
         table = filt.table()
-        assert table == global_filter_l1(self.CUBE, f, seed_of(0))
-        assert taus and tau2 not in taus
-        x = next(iter(self.CUBE.vertices()))
+        assert table == want
+        assert walked and tau2 not in walked
+        # the first vertex sits at 1, mid-range, and walks no ball at any
+        # tau > 0, so the query is at a vertex off the middle
+        x = next(x for x in self.CUBE.vertices() if f.lookup(x) != 1)
+        scanned.clear()
+        walked.clear()
         assert LocalFilterL1(self.CUBE, f, seed_of(0)).value(x) == table[x]
-        assert len(set(taus)) > 2 and tau2 not in taus
+        assert tau2 in scanned
+        assert len(set(walked)) > 2 and tau2 not in walked
 
-    def test_final_radius_zero_makes_no_scan(self, monkeypatch):
-        taus = self.record_taus(monkeypatch)
+    def test_final_radius_zero_walks_no_ball(self, monkeypatch):
         f = random_table(self.CUBE, random.Random(7), 2)
         slack = Fraction(4, 3)
+        want = global_filter_l1(self.CUBE, f, seed_of(0), slack=slack)
+        scanned, walked = self.record_walks(monkeypatch)
         filt = LocalFilterL1(self.CUBE, f, seed_of(0), slack=slack)
         assert scan_radii(filt) == {2: 0}
-        assert filt.table() == global_filter_l1(self.CUBE, f, seed_of(0), slack=slack)
-        assert taus == []
+        assert filt.table() == want
+        assert walked == []
 
     def test_scans_only_at_final_radius(self, monkeypatch):
         """At r = 3 a partner sits within 0, 1 and 2 in rounds 2, 3 and 4;

@@ -77,6 +77,12 @@ class TestTableFunction:
         with pytest.raises(RangeViolation):
             TableFunction(g, {0: -1}, 2)
 
+    def test_default_validated_at_construction(self):
+        g = ExplicitGraph(2, [(0, 1)])
+        for default in (3, "-1/2"):
+            with pytest.raises(RangeViolation, match="^default value .* out of range$"):
+                TableFunction(g, {0: 1}, 2, default=default)
+
     def test_domain_validated(self):
         g = ExplicitGraph(2, [(0, 1)])
         with pytest.raises(OutOfDomain):
@@ -291,6 +297,18 @@ class TestJson:
         msg = f"function domain must be a JSON object, got {domain!r}"
         with pytest.raises(InvalidParam, match=f"^{re.escape(msg)}$"):
             load_function({"domain": domain, "r": "2"})
+
+    @pytest.mark.parametrize("doc, missing", [
+        ({"r": "2"}, "'domain'"),
+        ({"domain": {"kind": "hypercube", "d": 2}}, "'r'"),
+    ])
+    def test_missing_domain_or_r_named(self, doc, missing):
+        with pytest.raises(InvalidParam, match=f"^function document missing {missing}$"):
+            load_function(doc)
+
+    def test_unknown_domain_kind_rejected(self):
+        with pytest.raises(OutOfDomain, match="^unknown domain kind 'torus'$"):
+            load_function({"domain": {"kind": "torus", "d": 2}, "r": "2"})
 
     def test_repeated_values_in_mixed_forms(self):
         g = Hypercube(4)

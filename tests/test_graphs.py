@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lipfilter import (
+    DEFAULT_SCAN_BUDGET,
     BudgetExceeded,
     ExplicitGraph,
     ExprFunction,
@@ -26,7 +28,7 @@ from lipfilter import (
     load_graph,
     random_vertex,
 )
-from lipfilter.graphs import _BallMixin
+from lipfilter.graphs import InvalidArgs, _BallMixin
 
 from helpers import ball_of, random_connected_graph
 
@@ -305,14 +307,25 @@ class TestBall:
         assert time.perf_counter() - start < 0.5
 
     def test_hypercube_budget_read_from_size_table(self):
-        # the ball sizes are a table extended up to the radius asked, so a
+        # the ball sizes are a table extended towards the radius asked, so a
         # ball of the 32-cube over budget raises before any mask is built;
-        # sizes taken from the masks would build 2^32 of them for radius 31
+        # sizes taken from the masks would build 2^32 of them for radius 31.
+        # The table stops at the first size past the budget: sum_{j <= 5}
+        # C(32, j) = 242,825.
         g = Hypercube(32)
         with pytest.raises(BudgetExceeded, match=r"^ball\(0{32}, 31\) "):
             g.ball(0, 31)
-        assert g._sizes[31] == 2 ** 32 - 1
+        assert g._sizes == [sum(math.comb(32, j) for j in range(k + 1)) for k in range(6)]
+        assert g._sizes[-2] <= DEFAULT_SCAN_BUDGET < g._sizes[-1]
         assert g._masks == [[0]]
+
+    def test_hypercube_budget_verdict_stops_the_size_table(self):
+        # on the 5,000-cube the ball passes the budget at radius 2, so
+        # asking for radius 5,000 builds no size further out
+        g = Hypercube(5_000)
+        with pytest.raises(BudgetExceeded):
+            g.ball(0, 5_000)
+        assert len(g._sizes) <= 3
 
     @pytest.mark.parametrize("g", [Hypercube(5_000), Hypergrid(2, 5_000)], ids=repr)
     def test_large_dimension_builds_no_per_dimension_table(self, g):
@@ -428,6 +441,23 @@ def floyd_warshall(n, edges):
                 if dist[i][k] + dist[k][j] < dist[i][j]:
                     dist[i][j] = dist[i][k] + dist[k][j]
     return dist
+
+
+class TestRejects:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Hypergrid(0, 2), "hypergrid needs n >= 1 and d >= 1, got n=0, d=2"),
+        (lambda: Hypergrid(3, 0), "hypergrid needs n >= 1 and d >= 1, got n=3, d=0"),
+        (lambda: Hypercube(0), "hypercube needs d >= 1, got 0"),
+        (lambda: ExplicitGraph(0, []), "explicit graph needs at least one vertex"),
+    ], ids=["grid n=0", "grid d=0", "cube d=0", "explicit n=0"])
+    def test_constructor_rejects_empty_graphs(self, build, message):
+        with pytest.raises(InvalidArgs, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("source", ["[1, 2]", "3", [1, 2]], ids=repr)
+    def test_graph_document_must_be_an_object(self, source):
+        with pytest.raises(InvalidParam, match="^graph document is not a JSON object$"):
+            load_graph(source)
 
 
 class TestExplicitGraph:

@@ -17,6 +17,7 @@ from lipfilter import (
     separation_threshold,
     violation_score,
 )
+from lipfilter.hard import _random_at_distance
 from helpers import seed_of
 
 
@@ -56,6 +57,12 @@ class TestValidation:
     def test_retry_cap_below_one_rejected(self, cap):
         with pytest.raises(InvalidParam, match="retry_cap must be an int >= 1"):
             sample_hard_instance(Hypercube(6), 2, 1, seed_of(0), m=1, retry_cap=cap)
+
+    def test_unreachable_distance_rejected(self):
+        # from a corner of the 2-cube no monotone walk is 3 steps long
+        with pytest.raises(InvalidParam, match=re.escape(
+                "distance 3 unreachable from (0, 0)")):
+            _random_at_distance(Hypercube(2), (0, 0), 3, random.Random(0))
 
     def test_threshold(self):
         assert separation_threshold(12, 2) == 3

@@ -15,9 +15,11 @@ from lipfilter import (
     Hypercube,
     Hypergrid,
     Interval,
+    OutOfDomain,
     TableFunction,
     make_schedule,
     max_violation_score,
+    scan_scored_neighbors,
     violation_edges,
     violation_score,
 )
@@ -177,10 +179,34 @@ class TestThreshold:
     def test_truncation_radius_zero(self, monkeypatch):
         g = Hypergrid(6, 1)
         f = TableFunction(g, {(i,): 0 for i in range(1, 7)}, 4)
-        # tau >= r - 1 makes ceil(r - tau) - 1 <= 0: only the centre is walked
+        # tau >= r - 1 makes ceil(r - tau) - 1 <= 0: nothing is walked, not
+        # even the centre
         walked = recording_ball(monkeypatch, g)
         assert tau_violated(g, f, Fraction(7, 2), (3,)) == []
-        assert walked == [(0, 1)]
+        assert walked == []
+
+    @pytest.mark.parametrize("g", [Hypergrid(6, 1), Hypercube(3),
+                                   ExplicitGraph(6, [(0, 1), (1, 2)])], ids=repr)
+    def test_reach_below_one_walks_nothing_but_checks_the_centre(self, monkeypatch, g):
+        # every value 3 in [0, 4]: the reach ceil(3 - tau) - 1 is 1 at
+        # tau = 3/2 and 0 at tau = 2
+        def three(i):
+            return Fraction(3)
+
+        bounds = Interval.of(0, 4)
+        unit_ball = len(g.ball(0, 1))
+        walked = recording_ball(monkeypatch, g)
+        assert scan_scored_neighbors(g, three, 0, tau=2, bounds=bounds) == {}
+        assert walked == []
+        assert scan_scored_neighbors(g, three, 0, tau=Fraction(3, 2),
+                                     bounds=bounds) == {}
+        assert walked == [(1, unit_ball)]
+        # a centre that is not an id raises as the ball's own check does
+        for tau in (2, Fraction(3, 2)):
+            for bad in (-1, g.n_vertices, True, 0.0):
+                with pytest.raises(OutOfDomain, match="is not a vertex id"):
+                    scan_scored_neighbors(g, three, bad, tau=tau, bounds=bounds)
+        assert len(walked) == 1
 
     def test_dangerous(self):
         # a vertex is dangerous when it has a 0-violated partner
@@ -282,15 +308,17 @@ class TestScanCap:
                 radii.append(radius)
                 return Hypercube.ball(CUBE4, centre, radius, **kw)
 
-            graph = SimpleNamespace(ball=ball, index=CUBE4.index, vertex=CUBE4.vertex)
+            graph = SimpleNamespace(ball=ball, index=CUBE4.index, vertex=CUBE4.vertex,
+                                    check_id=CUBE4.check_id)
             for upward in (False, True):
                 scan_of(graph, values.get, x, tau=tau,
                         bounds=Interval(lo, hi), upward=upward)
             fx = values[x]
-            want = [] if fx is None else [
+            # a ball is asked for exactly when the bound is at least 1
+            want = [] if fx is None else [bound for bound in (
                 math.ceil(max(hi - fx, fx - lo) - tau) - 1,
                 math.ceil(hi - fx - tau) - 1,
-            ]
+            ) if bound >= 1]
             assert radii == want
 
     CUBE8 = Hypercube(8)
