@@ -214,8 +214,8 @@ def run_bench(dims, r, seed: Seed, *, queries: int = 30, pairs: int = 8):
     Every query runs in a fresh filter session so nothing is amortized
     across queries.  Returns one row per dimension.
     """
-    if queries < 1:
-        raise InvalidParam(f"queries must be at least 1, got {queries}")
+    if type(queries) is not int or queries < 1:
+        raise InvalidParam(f"queries must be an int >= 1, got {queries!r}")
     rows = []
     for i, d in enumerate(dims):
         graph = Hypercube(d)

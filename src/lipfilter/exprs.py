@@ -11,12 +11,16 @@ literals):
     coord    := 'x' INT                      (1-based coordinate index)
     fn       := 'min' | 'max' | 'abs' | 'floor' | 'clip'
 
+INT is a run of the ASCII digits 0-9.  Whitespace separates tokens and is
+otherwise ignored.
+
 Evaluation is total and exact over Fractions.  parse/format round-trip to
 structurally equal trees.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,31 +58,39 @@ class Call:
 
 Expr = "Lit | Coord | CoordSum | BinOp | Call"
 
-_FUNCTIONS = {"min": (1, None), "max": (1, None), "abs": (1, 1), "floor": (1, 1), "clip": (3, 3)}
+# each operator's precedence (higher binds tighter; all associate to the
+# left) and meaning, for the parser, evaluate and format_expr alike
+_OPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/(),]))")
+
+def _clip(args):
+    v, lo, hi = args
+    if lo > hi:
+        raise InvalidInterval(f"clip bounds out of order: {lo} > {hi}")
+    return min(max(v, lo), hi)
+
+
+# name -> (least arity, greatest arity or None, implementation on the
+# list of argument values)
+_FUNCTIONS = {
+    "min": (1, None, min),
+    "max": (1, None, max),
+    "abs": (1, 1, lambda args: abs(args[0])),
+    "floor": (1, 1, lambda args: Fraction(math.floor(args[0]))),
+    "clip": (3, 3, _clip),
+}
+
+_TOKEN_RE = re.compile(
+    r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[+\-*/(),])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = pos + len(text[pos:]) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", position=at)
-        number, name, sym = m.groups()
-        start = m.start(1) if number else m.start(2) if name else m.start(3)
-        if number:
-            tokens.append(("num", number, start))
-        elif name:
-            tokens.append(("name", name, start))
-        else:
-            tokens.append((sym, sym, start))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", position=m.start())
+        tokens.append((tok if kind == "sym" else kind, tok, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -106,18 +118,15 @@ class _Parser:
             raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
         return e
 
-    def expr(self):
-        left = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            left = BinOp(op, left, self.term())
-        return left
-
-    def term(self):
+    def expr(self, prec=1):
+        """Operators binding at least as tightly as ``prec``; each right
+        operand binds tighter still, so equal precedence nests left."""
         left = self.factor()
-        while self.peek()[0] == "*":
+        op = self.peek()[0]
+        while op in _OPS and _OPS[op][0] >= prec:
             self.take()
-            left = BinOp("*", left, self.factor())
+            left = BinOp(op, left, self.expr(_OPS[op][0] + 1))
+            op = self.peek()[0]
         return left
 
     def factor(self):
@@ -144,7 +153,7 @@ class _Parser:
                 self.take("(")
                 self.take(")")
                 return CoordSum()
-            coord = re.fullmatch(r"x(\d+)", text)
+            coord = re.fullmatch(r"x([0-9]+)", text)
             if coord:
                 k = int(coord.group(1))
                 if k < 1:
@@ -155,7 +164,7 @@ class _Parser:
                     )
                 return Coord(k)
             if text in _FUNCTIONS:
-                lo, hi = _FUNCTIONS[text]
+                lo, hi, _ = _FUNCTIONS[text]
                 self.take("(")
                 args = [self.expr()]
                 while self.peek()[0] == ",":
@@ -189,31 +198,10 @@ def evaluate(expr, coords) -> Fraction:
     if isinstance(expr, CoordSum):
         return Fraction(sum(coords))
     if isinstance(expr, BinOp):
-        a = evaluate(expr.left, coords)
-        b = evaluate(expr.right, coords)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        return a * b
+        return _OPS[expr.op][1](evaluate(expr.left, coords), evaluate(expr.right, coords))
     if isinstance(expr, Call):
-        args = [evaluate(a, coords) for a in expr.args]
-        if expr.name == "min":
-            return min(args)
-        if expr.name == "max":
-            return max(args)
-        if expr.name == "abs":
-            return abs(args[0])
-        if expr.name == "floor":
-            return Fraction(math.floor(args[0]))
-        v, lo, hi = args
-        if lo > hi:
-            raise InvalidInterval(f"clip bounds out of order: {lo} > {hi}")
-        return min(max(v, lo), hi)
+        return _FUNCTIONS[expr.name][2]([evaluate(a, coords) for a in expr.args])
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-_PREC = {"+": 1, "-": 1, "*": 2}
 
 
 def format_expr(expr) -> str:
@@ -228,7 +216,7 @@ def format_expr(expr) -> str:
             return "sum()"
         if isinstance(e, Call):
             return f"{e.name}({', '.join(fmt(a, 0) for a in e.args)})"
-        prec = _PREC[e.op]
+        prec = _OPS[e.op][0]
         # left-associative grammar: the right child needs parens at equal
         # precedence or the tree would re-parse differently
         text = f"{fmt(e.left, prec)} {e.op} {fmt(e.right, prec + 1)}"

@@ -42,8 +42,8 @@ class Schedule:
     rounds: int  # T; rounds run for t = 2..T, so T = 1 means identity
 
     def tau(self, t: int) -> Fraction:
-        if not 2 <= t <= self.rounds:
-            raise InvalidParam(f"round {t} outside 2..{self.rounds}")
+        if type(t) is not int or not 2 <= t <= self.rounds:
+            raise InvalidParam(f"round t must be an int in 2..{self.rounds}, got {t!r}")
         return self.r * Fraction(2, 3) ** (t - 1)
 
     def delta(self, t: int) -> Fraction:
@@ -142,8 +142,9 @@ class LocalFilterL1:
 
     def _round_arg(self, t: int | None) -> int:
         t = self.schedule.rounds if t is None else t
-        if not 1 <= t <= self.schedule.rounds:
-            raise InvalidParam(f"round {t} outside 1..{self.schedule.rounds}")
+        if type(t) is not int or not 1 <= t <= self.schedule.rounds:
+            raise InvalidParam(
+                f"round t must be an int in 1..{self.schedule.rounds}, got {t!r}")
         return t
 
     def value(self, x, t: int | None = None) -> Fraction:

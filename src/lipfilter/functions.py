@@ -21,11 +21,12 @@ from .graphs import Hypercube, Hypergrid, graph_to_json, load_graph, read_int, r
 def parse_rational(s) -> Fraction:
     """Parse "p/q", "3", "0.25", ints, or Fractions into a Fraction.
 
-    Raises InvalidParam on text that is not a finite rational.
+    Raises InvalidParam on text that is not a finite rational, and on a
+    bool, which JSON writes as ``true`` or ``false``.
     """
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     # floats come from JSON documents and Python callers (CLI flags arrive
     # as text); use their decimal rendering so that 0.25 means 1/4, not
@@ -306,13 +307,15 @@ def load_function(source) -> tuple:
     if not isinstance(values, dict):
         raise InvalidParam(f"function values must be a JSON object, got {values!r}")
     f = TableFunction(graph, {}, parse_rational(r), default=data.get("default", "?"))
-    parsed = {}  # JSON value -> its Fraction or None, for this document only
+    # (type, JSON value) -> its Fraction or None, for this document only;
+    # the type keeps true, which equals 1, from reading 1's entry
+    parsed = {}
     for k, v in values.items():
         x = graph.from_canon(k)
         try:
-            fv = parsed[v]
+            fv = parsed[type(v), v]
         except KeyError:
-            fv = parsed[v] = parse_value(v)
+            fv = parsed[type(v), v] = parse_value(v)
         except TypeError:  # a JSON list or object, which parse_value rejects
             fv = parse_value(v)
         f._put(x, fv)

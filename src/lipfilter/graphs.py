@@ -235,9 +235,10 @@ class Hypercube(Hypergrid):
     n = 2 and coordinates from 0.
 
     It keeps its own fast kernels for ``contains``, ``canon``, decoding,
-    ids and balls: ``canon`` and ``_decode`` map a tuple's bytes through a
-    byte table and back, with no per-coordinate ``int()``, and an id is
-    the coordinates read as the bits of an int, so ``canon_of`` writes an
+    vertices from ids and balls: ``canon`` and ``_decode`` map a tuple's
+    bytes through a byte table and back, with no per-coordinate ``int()``.
+    An id is the coordinates read as the bits of an int, which is
+    ``Hypergrid.index`` at n = 2 and base 0, so ``canon_of`` writes an
     id's bits and builds no tuple.
     """
 
@@ -264,10 +265,6 @@ class Hypercube(Hypergrid):
 
     def dist(self, x, y) -> int:
         return sum(a != b for a, b in zip(x, y))
-
-    def index(self, x) -> int:
-        self.check_vertex(x)
-        return int(bytes(x).translate(_DIGITS), 2)
 
     def vertex(self, i) -> tuple:
         self.check_id(i)

@@ -130,8 +130,8 @@ def _check_params(graph, r, b):
 def sample_hard_instance(graph, r, b, seed: Seed, *, m: int = DEFAULT_PAIRS,
                          retry_cap: int = DEFAULT_RETRY_CAP) -> HardInstance:
     _check_params(graph, r, b)
-    if m < 1:
-        raise InvalidParam("m must be positive")
+    if type(m) is not int or m < 1:
+        raise InvalidParam(f"m must be an int >= 1, got {m!r}")
     if type(retry_cap) is not int or retry_cap < 1:
         raise InvalidParam(f"retry_cap must be an int >= 1, got {retry_cap!r}")
 

@@ -43,13 +43,13 @@ def make_params(d: int, eps, *, m: int | None = None, reps: int = 1) -> TesterPa
     eps = parse_rational(eps)
     if not 0 < eps < MAX_EPS:
         raise InvalidParam(f"eps must lie in (0, {MAX_EPS})")
-    if reps < 1 or reps % 2 == 0:
-        raise InvalidParam("reps must be a positive odd integer")
+    if type(reps) is not int or reps < 1 or reps % 2 == 0:
+        raise InvalidParam(f"reps must be a positive odd int, got {reps!r}")
     t = Fraction(2 * math.sqrt(d * math.log2(d / eps)))
     if m is None:
         m = math.ceil((Fraction(1500) / eps) ** 2)
-    if m < 1:
-        raise InvalidParam("m must be positive")
+    if type(m) is not int or m < 1:
+        raise InvalidParam(f"m must be an int >= 1, got {m!r}")
     return TesterParams(
         eps=eps, t=t, m=m, threshold=Fraction(2005, 1000) * eps, reps=reps)
 

@@ -11,7 +11,9 @@ each mutant the script copies ``src/`` to a temporary directory, applies
 the replacement there, which must match exactly once, and runs pytest on
 the mutant's test ids with that copy alone on PYTHONPATH and a fixed
 hypothesis seed, so a run repeats.  The mutant is killed when every one
-of its tests fails; a test that passes lets it survive.  The checkout
+of its tests fails; a test that passes lets it survive.  A parametrized
+test named without a parameter id stands for all its cases and fails
+when any case fails.  The checkout
 itself is never written.  The exit status is 0 when every mutant run is
 killed and 1 otherwise.
 
@@ -43,6 +45,8 @@ class Mutant:
 L0 = "lipfilter/filter_l0.py"
 L1 = "lipfilter/filter_l1.py"
 SCAN = "lipfilter/violation.py"
+EXPRS = "lipfilter/exprs.py"
+PRIVACY = "lipfilter/privacy.py"
 BUMP = """                for c in partner:
                     moves[c] += 1
 """
@@ -58,6 +62,16 @@ TAU = "tests/test_filter_l1.py::TestFiling::test_score_equal_to_tau_enters_next_
 STRICT = "tests/test_violation.py::TestThreshold::test_strict_above_tau"
 BOUND = "tests/test_violation.py::TestScanCap::test_walks_the_bound_computed_in_fractions"
 MEMO = "tests/test_filter_l0.py::TestLocal::test_answers_memoized"
+PRECEDENCE = ("tests/test_exprs.py::TestPrecedence::test_times_binds_tighter_as_trees",
+              "tests/test_exprs.py::TestPrecedence::test_times_binds_tighter_as_values")
+LEFT_ASSOC = ("tests/test_exprs.py::TestPrecedence::test_left_associative_as_trees",
+              "tests/test_exprs.py::TestPrecedence::test_left_associative_as_values")
+BRACKETS = "tests/test_exprs.py::TestPrecedence::test_format_brackets_by_precedence"
+FLOOR = ("tests/test_filter_l0.py::TestReachAndFloor::"
+         "test_local_equals_global_and_scans_reach_bounds")
+ENCLOSING = "tests/test_violation.py::TestScanCap::test_any_enclosing_interval_equals_brute_force"
+EPS_L0 = "tests/test_privacy.py::TestEpsAudit::test_filter_mechanism_output_is_2_lipschitz"
+EPS_SEARCH = "tests/test_privacy.py::TestEpsAudit::test_binary_search_sessions_are_1_lipschitz"
 
 MUTANTS = [
     # a pair filed before one of its ends moved stays live
@@ -79,18 +93,74 @@ MUTANTS = [
     # every l0 answer is computed afresh, walking its ball again
     Mutant("l0-value-skips-memo", L0, "return self._answers[self.graph.index(x)]",
            "return self._value(self.graph.index(x))", (MEMO,)),
+    # the l0 floor is the lowest value f takes, not the range's bottom
+    Mutant("l0-floor-from-bounds", L0, "best = self.lo", "best = self.bounds.lo", (FLOOR,)),
+    # a restriction claims the whole window as its bounds
+    Mutant("restriction-claims-window", "lipfilter/functions.py",
+           "lo = max(interval.lo, base.bounds.lo)", "lo = interval.lo", (FLOOR,)),
+    # a two-way scan reaches only as far as a higher partner can sit
+    Mutant("scan-reach-upward-only", SCAN, "radius = -(up if up < down else down) - 1",
+           "radius = -up - 1", (ENCLOSING,)),
+    # the upward scan stops one short of its reach
+    Mutant("upward-reach-short", SCAN, "radius = -up - 1", "radius = -up - 2", (ENCLOSING,)),
+    # from_canon accepts any text that decodes to a vertex
+    Mutant("from-canon-no-round-trip", "lipfilter/graphs.py",
+           "if self.contains(x) and self.canon(x) == s:", "if self.contains(x):",
+           ("tests/test_graphs.py::TestFromCanon::test_non_canonical_text_rejected",)),
+    # the filter mechanism filters f unclipped
+    Mutant("eps-no-clip", PRIVACY, "clipped = f.clip(f.lo, f.lo + f.r)", "clipped = f",
+           (EPS_L0,)),
+    # the filter mechanism's l1 filter runs with slack 2
+    Mutant("eps-slack-two", PRIVACY, "slack=1", "slack=2", (EPS_L0,)),
+    # binary search makes one probe more than the privacy budget allows
+    Mutant("eps-extra-probe", PRIVACY, "last = max(2, math.ceil(self.kappa))",
+           "last = max(2, math.ceil(self.kappa)) + 1", (EPS_SEARCH,)),
+    # the tester reads f again instead of the value its session read
+    Mutant("tester-rereads-f", "lipfilter/tester.py", "g != filt.read(x)",
+           "g != f.lookup(x)",
+           ("tests/test_tester.py::TestMechanics::test_reads_each_vertex_once",)),
+    # '*' binds no tighter than '+' and '-'
+    Mutant("expr-times-binds-like-plus", EXPRS, '"*": (2, operator.mul)',
+           '"*": (1, operator.mul)', PRECEDENCE + (BRACKETS,)),
+    # a right operand is parsed at its operator's own precedence, so
+    # equal precedence nests to the right
+    Mutant("expr-right-associative", EXPRS, "self.expr(_OPS[op][0] + 1)",
+           "self.expr(_OPS[op][0])", LEFT_ASSOC),
+    # a right child at equal precedence prints without brackets
+    Mutant("format-right-child-bare", EXPRS, "fmt(e.right, prec + 1)", "fmt(e.right, prec)",
+           (BRACKETS,)),
+    # JSON true reads the entry parsed for 1, which it equals
+    Mutant("json-true-reads-1s-entry", "lipfilter/functions.py", """            fv = parsed[type(v), v]
+        except KeyError:
+            fv = parsed[type(v), v] = parse_value(v)
+""", """            fv = parsed[v]
+        except KeyError:
+            fv = parsed[v] = parse_value(v)
+""", ("tests/test_functions.py::TestJson::test_json_booleans_are_not_numbers",)),
+    # a number token is any Unicode digit run, as str.isdigit reads it
+    Mutant("expr-digits-any-script", EXPRS, "(?P<num>[0-9]+)", r"(?P<num>\d+)",
+           ("tests/test_exprs.py::TestTokens::test_digits_are_ascii",)),
 ]
+
+# worst first: one failing case makes a parametrized test fail
+_RANK = {"PASSED": 0, "ERROR": 1, "FAILED": 2}
 
 
 def outcomes(report: str, tests) -> dict[str, str]:
     """{test id: PASSED, FAILED or ERROR} from pytest's ``-rA`` summary,
-    whose ids are relative to the directory pytest ran in."""
+    whose ids are relative to the directory pytest ran in.  An id without
+    a parameter id in brackets matches each of its cases and takes the
+    worst outcome among them, FAILED before ERROR before PASSED."""
     out = {}
     for line in report.splitlines():
         word, _, rest = line.partition(" ")
-        if word in ("PASSED", "FAILED", "ERROR"):
+        if word in _RANK:
             ran = rest.split(" - ")[0]
-            out.update((t, word) for t in tests if ran.endswith("/" + t))
+            case_of = ran.split("[")[0]
+            for t in tests:
+                hit = ran.endswith("/" + t) or case_of.endswith("/" + t)
+                if hit and _RANK[word] >= _RANK.get(out.get(t), -1):
+                    out[t] = word
     return out
 
 

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from lipfilter import Seed
-from lipfilter.cli import main
+from lipfilter import InvalidParam, Seed
+from lipfilter.cli import main, run_bench
 from helpers import seed_of
 
 SEED = seed_of(1).hex
@@ -247,6 +247,12 @@ class TestBench:
         assert code == 0
         assert [row["d"] for row in out["rows"]] == [6, 8]
         assert all(row["lookups_max"] >= 1 for row in out["rows"])
+
+    @pytest.mark.parametrize("queries", [2.5, True], ids=repr)
+    def test_queries_must_be_an_int(self, queries):
+        # a float used to raise TypeError, and True to report "queries": true
+        with pytest.raises(InvalidParam, match="queries must be an int >= 1"):
+            run_bench([6], 2, seed_of(1), queries=queries, pairs=1)
 
 
 class TestErrors:

@@ -50,6 +50,57 @@ class TestEvaluate:
         assert isinstance(v, Fraction)
 
 
+class TestPrecedence:
+    """The parser, evaluate and format_expr read one operator table, so a
+    round trip cannot see a change to it; these pin the table's meaning."""
+
+    def test_times_binds_tighter_as_trees(self):
+        x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+        assert parse_expr("x1 + x2 * x3") == BinOp("+", x1, BinOp("*", x2, x3))
+        assert parse_expr("x1 * x2 - x3") == BinOp("-", BinOp("*", x1, x2), x3)
+
+    def test_times_binds_tighter_as_values(self):
+        assert ev("2 * 3 + 4", ()) == 10
+        assert ev("4 + 2 * 3", ()) == 10
+        assert ev("10 - 2 * 3", ()) == 4
+
+    def test_left_associative_as_trees(self):
+        x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+        assert parse_expr("x1 - x2 - x3") == BinOp("-", BinOp("-", x1, x2), x3)
+        assert parse_expr("x1 - x2 + x3") == BinOp("+", BinOp("-", x1, x2), x3)
+        assert parse_expr("x1 * x2 * x3") == BinOp("*", BinOp("*", x1, x2), x3)
+
+    def test_left_associative_as_values(self):
+        assert ev("10 - 4 - 3", ()) == 3
+        assert ev("10 - 4 + 3", ()) == 9
+        assert ev("x1 - x2 - x3", (10, 4, 3)) == 3
+
+    def test_format_brackets_by_precedence(self):
+        x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+        assert format_expr(BinOp("-", x1, BinOp("-", x2, x3))) == "x1 - (x2 - x3)"
+        assert format_expr(BinOp("-", BinOp("-", x1, x2), x3)) == "x1 - x2 - x3"
+        assert format_expr(BinOp("*", BinOp("+", x1, x2), x3)) == "(x1 + x2) * x3"
+        assert format_expr(BinOp("+", x1, BinOp("*", x2, x3))) == "x1 + x2 * x3"
+
+
+class TestTokens:
+    def test_whitespace_is_ignored(self):
+        assert parse_expr(" \tx1\n+\r2 \n") == BinOp("+", Coord(1), Lit(Fraction(2)))
+
+    @pytest.mark.parametrize("text, at", [("x1 ^ 2", 3), ("\t\n#", 2), ("x1\u00a0\u00a0$", 4)])
+    def test_unexpected_character_position(self, text, at):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_expr(text)
+        assert info.value.position == at
+
+    @pytest.mark.parametrize("text, at", [("\u0661", 0), ("x1 + \u0661", 5), ("1\u0662", 1)])
+    def test_digits_are_ascii(self, text, at):
+        # an Arabic-Indic digit is not a number
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_expr(text)
+        assert info.value.position == at
+
+
 class TestParseErrors:
     def test_position_reported(self):
         with pytest.raises(ParseError) as info:
@@ -94,6 +145,11 @@ class TestParseErrors:
     def test_dimension_checked_at_eval(self):
         with pytest.raises(DimensionError):
             ev("x3", (1, 2))
+
+
+def test_evaluate_rejects_a_non_node():
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate("x1", (1,))
 
 
 _lits = st.builds(Lit, st.fractions(min_value=0, max_value=20))

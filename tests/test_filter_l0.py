@@ -57,6 +57,12 @@ class TestGlobal:
         f = TableFunction(g, {0: 2, 1: 6}, 4, lo=2)
         assert global_filter_l0(g, f, {0, 1}) == {0: 2, 1: 2}
 
+    def test_other_component_ignored(self):
+        # vertex 2 is in another component, so it bounds nothing at 1
+        g = ExplicitGraph(3, [(0, 1)])
+        f = TableFunction(g, {0: 0, 1: 3, 2: 3}, 3)
+        assert global_filter_l0(g, f, {1}) == {0: 0, 1: 0, 2: 3}
+
     def test_undefined_cover_members_stay_undefined(self):
         g, f = path3([0, 3, "?"])
         assert global_filter_l0(g, f, {1, 2}) == {0: 0, 1: 0, 2: None}

@@ -589,6 +589,16 @@ class TestErrors:
         with pytest.raises(InvalidParam):
             filt.table(99)
 
+    @pytest.mark.parametrize("t", [2.5, 2.0, True], ids=repr)
+    def test_round_must_be_an_int(self, t):
+        # a float used to raise KeyError or AttributeError, and True to read round 1
+        g, f = two_path()
+        filt = LocalFilterL1(g, f, seed_of(0), slack=1)
+        for call in (lambda: filt.value(0, t), lambda: filt.table(t),
+                     lambda: filt.schedule.tau(t)):
+            with pytest.raises(InvalidParam, match="round t must be an int"):
+                call()
+
     def test_memo_hit_still_checks_the_vertex(self):
         g = Hypercube(3)
         f = TableFunction(g, {x: sum(x) for x in g.vertices()}, 3)

@@ -41,6 +41,11 @@ class TestRationals:
         assert parse_rational(0.25) == Fraction(1, 4)
         assert parse_rational(0.1) == Fraction(1, 10)
 
+    @pytest.mark.parametrize("b", [True, False])
+    def test_bools_rejected(self, b):
+        with pytest.raises(InvalidParam, match="not a rational number"):
+            parse_rational(b)
+
     def test_values(self):
         assert parse_value("?") is None
         assert parse_value(None) is None
@@ -69,6 +74,11 @@ class TestTableFunction:
         assert f.lookup(0) == 0
         assert f.lookup(1) == Fraction(3, 2)
         assert f.lookup(2) is None  # default "?"
+
+    def test_negative_range_diameter_rejected(self):
+        g = ExplicitGraph(2, [(0, 1)])
+        with pytest.raises(RangeViolation, match="range diameter must be nonnegative"):
+            CallableFunction(g, lambda x: 0, -1)
 
     def test_range_validated_at_construction(self):
         g = ExplicitGraph(2, [(0, 1)])
@@ -291,6 +301,18 @@ class TestJson:
         f = TableFunction(g, {x: 0 for x in g.vertices()}, 1)
         g2, f2 = load_function(function_to_json(g, f))
         assert g2.n == 3 and g2.d == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"r": True},
+        {"r": "2", "values": {"0": True}},
+        {"r": "2", "default": False},
+        # true equals 1, so it must not read the entry parsed for 1
+        {"r": "2", "values": {"0": 1, "1": True}},
+    ], ids=["r", "value", "default", "value-after-1"])
+    def test_json_booleans_are_not_numbers(self, doc):
+        domain = {"kind": "explicit", "vertices": 2, "edges": [[0, 1]]}
+        with pytest.raises(InvalidParam, match="not a rational number"):
+            load_function({"domain": domain, **doc})
 
     @pytest.mark.parametrize("domain", [5, None, [3, 2]])
     def test_non_object_domain_named_as_function_domain(self, domain):

@@ -58,6 +58,12 @@ class TestValidation:
         with pytest.raises(InvalidParam, match="retry_cap must be an int >= 1"):
             sample_hard_instance(Hypercube(6), 2, 1, seed_of(0), m=1, retry_cap=cap)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True], ids=repr)
+    def test_m_must_be_an_int(self, m):
+        # a float used to raise TypeError, and True to place one pair
+        with pytest.raises(InvalidParam, match="m must be an int >= 1"):
+            sample_hard_instance(Hypercube(6), 2, 1, seed_of(0), m=m)
+
     def test_unreachable_distance_rejected(self):
         # from a corner of the 2-cube no monotone walk is 3 steps long
         with pytest.raises(InvalidParam, match=re.escape(

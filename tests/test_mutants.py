@@ -21,10 +21,11 @@ def load_mutants():
     # its dataclass looks its module up by name while the class is built
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
-MUTANTS = load_mutants()
+mutants = load_mutants()
+MUTANTS = mutants.MUTANTS
 
 
 def defines(path, names):
@@ -40,6 +41,37 @@ def defines(path, names):
             return False
         body = node.body
     return True
+
+
+# the tail of a ``pytest -rA`` run from a temporary directory
+REPORT = """\
+=========================== short test summary info ============================
+PASSED ../../repo/tests/test_a.py::TestX::test_plain
+FAILED ../../repo/tests/test_a.py::TestX::test_cases[1] - assert 1 == 2
+PASSED ../../repo/tests/test_a.py::TestX::test_cases[2]
+PASSED ../../repo/tests/test_a.py::test_all_pass[a-b]
+PASSED ../../repo/tests/test_a.py::test_all_pass[c]
+ERROR ../../repo/tests/test_b.py::test_broken[1] - fixture 'x' not found
+FAILED ../../repo/tests/test_b.py::test_broken[2] - assert False
+ERROR ../../repo/tests/test_b.py::test_errs - fixture 'x' not found
+========================= 3 failed, 4 passed in 0.10s ==========================
+"""
+
+
+def test_outcomes_read_cases_and_bare_ids():
+    ids = ["tests/test_a.py::TestX::test_plain", "tests/test_a.py::TestX::test_cases",
+           "tests/test_a.py::TestX::test_cases[2]", "tests/test_a.py::test_all_pass",
+           "tests/test_b.py::test_broken", "tests/test_b.py::test_errs",
+           "tests/test_a.py::TestX::test_case", "a.py::TestX::test_plain"]
+    assert mutants.outcomes(REPORT, ids) == {
+        "tests/test_a.py::TestX::test_plain": "PASSED",
+        # a bare id fails when any case fails, whatever the order
+        "tests/test_a.py::TestX::test_cases": "FAILED",
+        "tests/test_a.py::TestX::test_cases[2]": "PASSED",
+        "tests/test_a.py::test_all_pass": "PASSED",
+        "tests/test_b.py::test_broken": "FAILED",
+        "tests/test_b.py::test_errs": "ERROR",
+    }
 
 
 def test_names_are_unique():

@@ -32,6 +32,10 @@ class TestNoiseSource:
         b = NoiseSource(seed_of(2))
         assert [a.laplace(2) for _ in range(5)] != [b.laplace(2) for _ in range(5)]
 
+    def test_no_seed_draws_a_random_one(self):
+        a, b = NoiseSource(), NoiseSource()
+        assert [a.laplace(2) for _ in range(5)] != [b.laplace(2) for _ in range(5)]
+
     def test_scale_and_symmetry(self):
         src = NoiseSource(seed_of(3))
         draws = [src.laplace(2) for _ in range(20000)]

@@ -28,6 +28,11 @@ class TestSeed:
         with pytest.raises(InvalidParam):
             Seed.from_hex("zz")
 
+    def test_repr_and_hash(self):
+        s = Seed.from_int(12345)
+        assert repr(s) == f"Seed({s.hex[:16]}...)"
+        assert len({s, Seed.from_hex(s.hex), s.derive("a")}) == 2
+
     def test_derive_is_separated(self):
         s = seed_of(7)
         assert s.derive("round", 1) == s.derive("round", 1)

@@ -49,6 +49,18 @@ class TestParams:
         with pytest.raises(InvalidParam):
             make_params(8, Fraction(1, 10), m=0)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"m": 2.5}, "m must be an int"), ({"m": True}, "m must be an int"),
+        ({"m": 2, "reps": 3.0}, "reps must be a positive odd int"),
+        ({"m": 2, "reps": True}, "reps must be a positive odd int"),
+    ], ids=repr)
+    def test_whole_number_params_must_be_ints(self, kw, message):
+        # a float used to raise TypeError from range, and True to run once
+        g = Hypercube(4)
+        f = TableFunction(g, {x: 0 for x in g.vertices()}, 1)
+        with pytest.raises(InvalidParam, match=f"^{message}"):
+            tolerant_test(g, f, Fraction(1, 10), seed_of(0), **kw)
+
 
 def cone_function(d, r):
     g = Hypercube(d)
