@@ -12,7 +12,10 @@ literals):
     fn       := 'min' | 'max' | 'abs' | 'floor' | 'clip'
 
 INT is a run of the ASCII digits 0-9.  Whitespace separates tokens and is
-otherwise ignored.
+otherwise ignored.  An expression may nest at most MAX_DEPTH levels deep,
+where each operator, call, bracket pair and leaf is one level, so that
+parsing, evaluation and printing all stay well inside Python's recursion
+limit; a deeper one is a ParseError at the token that passes the limit.
 
 Evaluation is total and exact over Fractions.  parse/format round-trip to
 structurally equal trees.
@@ -57,6 +60,9 @@ class Call:
 
 
 Expr = "Lit | Coord | CoordSum | BinOp | Call"
+
+# the most levels an expression may nest; see the module docstring
+MAX_DEPTH = 200
 
 # each operator's precedence (higher binds tighter; all associate to the
 # left) and meaning, for the parser, evaluate and format_expr alike
@@ -112,25 +118,35 @@ class _Parser:
         return tok
 
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
         return e
 
-    def expr(self, prec=1):
+    # ``level`` counts the levels above the tree a method parses, and each
+    # method returns that tree with its height, bracket pairs counted, so
+    # level + height is the depth the tree reaches.
+
+    def expr(self, prec=1, level=0):
         """Operators binding at least as tightly as ``prec``; each right
         operand binds tighter still, so equal precedence nests left."""
-        left = self.factor()
-        op = self.peek()[0]
+        left, height = self.factor(level)
+        op, _, start = self.peek()
         while op in _OPS and _OPS[op][0] >= prec:
             self.take()
-            left = BinOp(op, left, self.expr(_OPS[op][0] + 1))
-            op = self.peek()[0]
-        return left
+            right, right_height = self.expr(_OPS[op][0] + 1, level + 1)
+            left = BinOp(op, left, right)
+            height = 1 + max(height, right_height)
+            if level + height > MAX_DEPTH:
+                raise _too_deep(start)
+            op, _, start = self.peek()
+        return left, height
 
-    def factor(self):
+    def factor(self, level):
         kind, text, start = self.peek()
+        if level >= MAX_DEPTH:
+            raise _too_deep(start)
         if kind == "num":
             self.take()
             num = int(text)
@@ -140,19 +156,19 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise ParseError("zero denominator", position=den_tok[2])
-                return Lit(Fraction(num, den))
-            return Lit(Fraction(num))
+                return Lit(Fraction(num, den)), 1
+            return Lit(Fraction(num)), 1
         if kind == "(":
             self.take()
-            e = self.expr()
+            e, height = self.expr(level=level + 1)
             self.take(")")
-            return e
+            return e, height + 1
         if kind == "name":
             self.take()
             if text == "sum":
                 self.take("(")
                 self.take(")")
-                return CoordSum()
+                return CoordSum(), 1
             coord = re.fullmatch(r"x([0-9]+)", text)
             if coord:
                 k = int(coord.group(1))
@@ -162,14 +178,14 @@ class _Parser:
                     raise DimensionError(
                         f"x{k} out of range for dimension {self.d}"
                     )
-                return Coord(k)
+                return Coord(k), 1
             if text in _FUNCTIONS:
                 lo, hi, _ = _FUNCTIONS[text]
                 self.take("(")
-                args = [self.expr()]
+                args = [self.expr(level=level + 1)]
                 while self.peek()[0] == ",":
                     self.take()
-                    args.append(self.expr())
+                    args.append(self.expr(level=level + 1))
                 self.take(")")
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ParseError(
@@ -177,9 +193,14 @@ class _Parser:
                         f"arguments, got {len(args)}",
                         position=start,
                     )
-                return Call(text, tuple(args))
+                return (Call(text, tuple(e for e, _ in args)),
+                        1 + max(height for _, height in args))
             raise ParseError(f"unknown name {text!r}", position=start)
         raise ParseError(f"unexpected token {text!r}", position=start)
+
+
+def _too_deep(position) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", position=position)
 
 
 def parse_expr(text: str, d: int | None = None):

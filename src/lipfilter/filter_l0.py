@@ -68,9 +68,10 @@ class LocalFilterL0:
     Every defined value lies in f.bounds = [blo, bhi] (inside [lo, hi]),
     so a y at d(x, y) >= bhi - lo scores at most lo, and only the closed
     ball of radius ceil(bhi - lo) - 1 is walked; everything else passes
-    through.  ``value`` walks it in (distance, vertex) order with a running
-    best, asks the matching only about a y with f(y) - d > best, and stops
-    at the first y with bhi - d <= best.  Scans take f.bounds too.  Caches
+    through.  ``value`` walks it in (distance, vertex) order, sorting each
+    shell of the ball when it reaches it, with a running best, asks the
+    matching only about a y with f(y) - d > best, and stops at the first y
+    with bhi - d <= best.  Scans take f.bounds too.  Caches
     inside a session are logically transparent: answers equal a fresh
     computation for every query order.  Inside the session every vertex is
     its id (see ``graphs``): the memo, the answers, the scans and the
@@ -122,26 +123,33 @@ class LocalFilterL0:
         if match_of(i) is None:
             return fx
         # One rule bounds the walk and stops it: f(y) <= hi = bounds.hi, so
-        # a y at d >= hi - best scores at most best.  The ball, sorted by d,
-        # is the one of radius ceil(hi - lo) - 1, and the walk stops once d
-        # reaches ceil(hi - best).  With best = bn/bd and f(y) = c/e, f(y) -
-        # d > best is decided in ints, and only such a y is asked whether
-        # it is matched.
+        # a y at d >= hi - best scores at most best.  The ball is the one of
+        # radius ceil(hi - lo) - 1, walked in (d, id) order by sorting each
+        # shell as it is reached, and the walk stops once d reaches
+        # ceil(hi - best), most often a shell or two out.  With best =
+        # bn/bd and f(y) = c/e, f(y) - d > best is decided in ints, and only
+        # such a y is asked whether it is matched.
         hi = self.bounds.hi
         best = self.lo
-        bn, bd = best.numerator, best.denominator
+        bn, bd = best.as_integer_ratio()
         stop = math.ceil(hi - best)
-        for y, d in self.graph.ball(i, stop - 1):
+        ball = self.graph.ball(i, stop - 1)
+        start = 0
+        for d, end in enumerate(ball.ends):
             if d >= stop:
                 break
-            fy = values[y]
-            if fy is None:
-                continue
-            c, e = fy.numerator, fy.denominator
-            if (c - d * e) * bd > bn * e and match_of(y) is None:
-                best = fy - d
-                bn, bd = best.numerator, best.denominator
-                stop = math.ceil(hi - best)
+            for y in sorted(ball[start:end]):
+                fy = values[y]
+                if fy is None:
+                    continue
+                c, e = fy.as_integer_ratio()
+                if (c - d * e) * bd > bn * e and match_of(y) is None:
+                    best = fy - d
+                    bn, bd = best.as_integer_ratio()
+                    stop = math.ceil(hi - best)
+                    if d >= stop:
+                        break
+            start = end
         return best
 
     def matched_set(self):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam, PartialFunction
-from .functions import ValueMemo
+from .functions import ValueMemo, parse_rational
 from .matching import MatchingLCA, greedy_maximal_matching
 from .seeds import Seed
 from .violation import _violated_pairs, scan_scored_neighbors
@@ -60,10 +60,11 @@ def make_schedule(r, slack) -> Schedule:
     """T = 1 + (least k with (3/2)^k >= r / slack), computed exactly.
 
     Guarantees r * (2/3)^(T-1) <= slack; slack >= r degenerates to T = 1
-    and the filter is the identity.
+    and the filter is the identity.  ``r`` and ``slack`` are read with
+    ``parse_rational``, so a bool raises InvalidParam.
     """
-    r = Fraction(r)
-    slack = Fraction(slack)
+    r = parse_rational(r)
+    slack = parse_rational(slack)
     if r < 0:
         raise InvalidParam(f"range diameter must be nonnegative, got {r}")
     if slack <= 0:

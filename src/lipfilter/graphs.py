@@ -13,11 +13,13 @@ inverse, order-preserving maps between the vertices and
 ``range(n_vertices)``, and ``vertices()`` lists the vertices in id order.
 A product graph's id reads the coordinates, less ``base``, as the digits
 of a base-n number, coordinate 0 most significant; an explicit graph's
-ids are its vertices.  ``ball`` takes a centre's id and returns ids, so
-the filters' scans and memos work on ints and never build or hash a
-coordinate tuple.  Hypercube balls are enumerated layer by layer as XORs
-of the centre's id with cached masks of each Hamming weight; the other
-graphs share a BFS ball over an id adjacency.
+ids are its vertices.  ``ball`` takes a centre's id and returns a
+``Ball`` of ids, so the filters' scans and memos work on ints and never
+build or hash a coordinate tuple.  A ball comes shell by shell, each
+shell's ids in the order its kernel makes them, unsorted: hypercube balls
+XOR the centre's id with cached masks of each Hamming weight, and the
+other graphs share a BFS over an id adjacency, in discovery order.  A
+caller that needs a shell in id order sorts that shell alone.
 """
 from __future__ import annotations
 
@@ -44,6 +46,30 @@ _UNDIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 class InvalidArgs(OutOfDomain):
     """Constructor arguments do not describe a graph."""
+
+
+class Ball(list):
+    """The ids of a ball, shell after shell, with ``ends[k]`` the offset
+    one past shell k: shell k is ``ball[ends[k - 1]:ends[k]]``, and shell 0,
+    ``ball[:ends[0]]``, is the centre alone.  Shells come out to the ball's
+    radius or to the last non-empty one, whichever is nearer, so ``ends``
+    strictly increases and ``ends[-1] == len(ball)``; the empty ball of a
+    negative radius has no shells.  Within a shell the order is the
+    kernel's (see ``graphs``).
+    """
+
+    __slots__ = ("ends",)
+
+    def __init__(self, ids, ends):
+        super().__init__(ids)
+        self.ends = ends
+
+    def shells(self) -> Iterator[list]:
+        """Each shell's ids as a list, from shell 0 out."""
+        start = 0
+        for end in self.ends:
+            yield self[start:end]
+            start = end
 
 
 class _BallMixin:
@@ -86,10 +112,10 @@ class _BallMixin:
                 return x
         raise OutOfDomain(f"bad canonical vertex {s!r} for {self!r}")
 
-    def ball(self, i, radius: int, *, budget: int = DEFAULT_SCAN_BUDGET):
-        """Ids at distance at most ``radius`` from the vertex whose id is
-        ``i``, as (id, dist) pairs sorted by (distance, id), which is
-        (distance, vertex) order; [] for a negative radius.
+    def ball(self, i, radius: int, *, budget: int = DEFAULT_SCAN_BUDGET) -> Ball:
+        """The ids at distance at most ``radius`` from the vertex whose id
+        is ``i``, as a ``Ball``: shell k holds the ids at distance k, in
+        the kernel's order; the empty Ball for a negative radius.
 
         ``i`` must pass ``check_id``.  ``radius`` and ``budget`` are ints;
         anything else, a bool or an integral float included, raises
@@ -102,7 +128,7 @@ class _BallMixin:
             raise InvalidParam(
                 f"ball needs an int radius and budget, got {radius!r} and {budget!r}")
         if radius < 0:
-            return []
+            return Ball((), [])
         out = self._ball(i, radius, budget)
         if out is None:
             raise BudgetExceeded(
@@ -110,16 +136,15 @@ class _BallMixin:
         return out
 
     def _ball(self, i, radius: int, budget: int):
-        """Sorted ball of ``radius`` >= 0, or None past ``budget``."""
-        # BFS a layer at a time: each layer is sorted on its own, so the
-        # ball comes out in (distance, id) order with no global sort
+        """Ball of ``radius`` >= 0, or None past ``budget``."""
+        # BFS a layer at a time, each layer in discovery order; shells
+        # 0 .. len(ends) - 1 are built
         nbrs = self._id_neighbors
         seen = {i}
-        out = [(i, 0)]
+        ends = [1]
+        out = Ball([i], ends)
         layer = [i]
-        d = 0
-        while layer and d < radius and len(seen) <= budget:
-            d += 1
+        while layer and len(ends) <= radius and len(seen) <= budget:
             nxt = []
             for v in layer:
                 for w in nbrs(v):
@@ -128,8 +153,9 @@ class _BallMixin:
                         nxt.append(w)
                 if len(seen) > budget:
                     break
-            nxt.sort()
-            out += zip(nxt, itertools.repeat(d))
+            if nxt:
+                out += nxt
+                ends.append(len(out))
             layer = nxt
         return out if len(seen) <= budget else None
 
@@ -201,7 +227,8 @@ class Hypergrid(_BallMixin):
 
     def _id_neighbors(self, i) -> list:
         # peel the id's base-n digits, last coordinate first: digit c sits
-        # at place value s; the BFS sorts each layer, so output order is free
+        # at place value s; a ball's shells are unordered, so output order
+        # is free
         n = self.n
         out = []
         q, s = i, 1
@@ -279,8 +306,8 @@ class Hypercube(Hypergrid):
         # The ball has _sizes[limit] vertices, limit = min(radius, d), so the
         # budget is decided before any mask is built, and sizes grow with
         # the radius, so the table stops at the first size past the budget.
-        # An id's bits are its coordinates, so layer k is i XOR each
-        # weight-k mask, sorted.
+        # An id's bits are its coordinates, so shell k is i XOR each
+        # weight-k mask, and _sizes[k] is where it ends.
         d = self.d
         limit = min(radius, d)
         sizes = self._sizes
@@ -294,11 +321,9 @@ class Hypercube(Hypergrid):
         while len(masks) <= limit:
             # a mask gains only bits above its highest, so each is built once
             masks.append([m | (1 << j) for m in masks[-1] for j in range(m.bit_length(), d)])
-        out = [(i, 0)]
+        out = Ball([i], sizes[:limit + 1])
         for k in range(1, limit + 1):
-            layer = [i ^ m for m in masks[k]]
-            layer.sort()
-            out += zip(layer, itertools.repeat(k))
+            out += [i ^ m for m in masks[k]]
         return out
 
     def canon(self, x) -> str:
@@ -373,7 +398,9 @@ class ExplicitGraph(_BallMixin):
         if dists is None:
             # no ball outgrows the graph, so this one never runs out
             n = self.n_vertices
-            dists = self._dist_cache[x] = dict(self.ball(x, n, budget=n))
+            dists = self._dist_cache[x] = {
+                y: k for k, shell in enumerate(self.ball(x, n, budget=n).shells())
+                for y in shell}
         return dists.get(y, math.inf)
 
     def edges(self) -> Iterator[tuple]:

@@ -20,8 +20,10 @@ whole-graph references below, scan both ways.
 
 A scan works on vertex ids (see ``graphs``): its centre is an id, its
 ``lookup`` reads by id, and it returns ids, so no coordinate tuple is
-built or hashed in the scan.  The whole-graph functions below take and
-return vertices.
+built or hashed in the scan.  It walks the ball shell by shell, from
+shell 1 out, in the ball's own order within a shell: its output feeds
+matchings that order their edges by rank, so nothing is sorted.  The
+whole-graph functions below take and return vertices.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ def violation_score(graph, f, x, y) -> Fraction:
 
 def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
     """{y: score} for every id y whose violation score against the id x
-    exceeds ``tau`` (>= 0), in ball order, with every score a Fraction.
+    exceeds ``tau`` (>= 0), in ball order (shell by shell, unsorted within
+    a shell), with every score a Fraction.
 
     ``lookup`` is any callable id -> Fraction | None whose defined values
     all lie in the Interval ``bounds`` = [lo, hi]; the scan trusts that
@@ -67,10 +70,10 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
     # (B*q)) and ceil(fx - tau - lo) is -((s*B - C*t) // (B*t)): the radius
     # is decided in ints, and without min() and max(), which here cost more
     # than the arithmetic.
-    a, b = fx.numerator, fx.denominator
-    u, v = tau.numerator, tau.denominator
-    p, q = bounds.hi.numerator, bounds.hi.denominator
-    s, t = bounds.lo.numerator, bounds.lo.denominator
+    a, b = fx.as_integer_ratio()
+    u, v = tau.as_integer_ratio()
+    p, q = bounds.hi.as_integer_ratio()
+    s, t = bounds.lo.as_integer_ratio()
     av, ub, B = a * v, u * b, b * v
     up = ((av + ub) * q - p * B) // (B * q)    # -ceil(hi - fx - tau)
     if upward:
@@ -81,24 +84,26 @@ def scan_scored_neighbors(graph, lookup, x, *, tau, bounds, upward=False):
     if radius < 1:
         graph.check_id(x)
         return {}
-    # With fy = c/e the score is (|a*e - c*b| - d*b*e) / (b*e): whether it
-    # exceeds tau is decided in ints, an upward scan drops fy <= fx (c*b <=
-    # a*e) before the score is computed, a non-positive numerator is
-    # rejected before tau is looked at, and only kept scores become
-    # Fractions.
+    # With fy = c/e, read in one call, the score at distance d is (|a*e -
+    # c*b| - d*b*e) / (b*e): whether it exceeds tau is decided in ints, an
+    # upward scan drops fy <= fx (c*b <= a*e) before the score is computed,
+    # a non-positive numerator is rejected before tau is looked at, and
+    # only kept scores become Fractions.  Shell 0 is x itself.
     out = {}
-    for y, d in graph.ball(x, radius):
-        if d == 0:
-            continue
-        fy = lookup(y)
-        if fy is None:
-            continue
-        c, e = fy.numerator, fy.denominator
-        if upward and c * b <= a * e:
-            continue
-        num = abs(a * e - c * b) - d * b * e
-        if num > 0 and num * v > ub * e:
-            out[y] = Fraction(num, b * e)
+    ball = graph.ball(x, radius)
+    ends = ball.ends
+    for d in range(1, len(ends)):
+        db = d * b
+        for y in ball[ends[d - 1]:ends[d]]:
+            fy = lookup(y)
+            if fy is None:
+                continue
+            c, e = fy.as_integer_ratio()
+            if upward and c * b <= a * e:
+                continue
+            num = abs(a * e - c * b) - db * e
+            if num > 0 and num * v > ub * e:
+                out[y] = Fraction(num, b * e)
     return out
 
 

@@ -67,9 +67,12 @@ def corrupted_lipschitz(graph, rng, r, k) -> TableFunction:
 # so a test can state what it expects in vertices.
 
 def ball_of(graph, x, radius, **kw):
-    """``graph.ball`` around the vertex ``x``, as (vertex, dist) pairs."""
+    """``graph.ball`` around the vertex ``x``, as (vertex, dist) pairs in
+    (dist, vertex) order: each shell is sorted, since ids sort as their
+    vertices do."""
     vertex = graph.vertex
-    return [(vertex(y), d) for y, d in graph.ball(graph.index(x), radius, **kw)]
+    shells = graph.ball(graph.index(x), radius, **kw).shells()
+    return [(vertex(y), d) for d, shell in enumerate(shells) for y in sorted(shell)]
 
 
 def scan_of(graph, lookup, x, **kw):

@@ -70,6 +70,9 @@ BRACKETS = "tests/test_exprs.py::TestPrecedence::test_format_brackets_by_precede
 FLOOR = ("tests/test_filter_l0.py::TestReachAndFloor::"
          "test_local_equals_global_and_scans_reach_bounds")
 ENCLOSING = "tests/test_violation.py::TestScanCap::test_any_enclosing_interval_equals_brute_force"
+TIGHT = "tests/test_violation.py::TestScanProperty::test_tight_bounds_equal_brute_force"
+UPWARD_TIGHT = ("tests/test_violation.py::TestScanProperty::"
+                "test_upward_tight_bounds_equal_brute_force")
 EPS_L0 = "tests/test_privacy.py::TestEpsAudit::test_filter_mechanism_output_is_2_lipschitz"
 EPS_SEARCH = "tests/test_privacy.py::TestEpsAudit::test_binary_search_sessions_are_1_lipschitz"
 
@@ -90,6 +93,16 @@ MUTANTS = [
     # partners at distance 1
     Mutant("scan-reach-below-two", SCAN, "if radius < 1:", "if radius < 2:",
            (STRICT, BOUND)),
+    # the scan stops a shell short of the ball it asked for
+    Mutant("scan-drops-last-shell", SCAN, "range(1, len(ends))", "range(1, len(ends) - 1)",
+           (ENCLOSING, STRICT, TIGHT, "tests/test_violation.py::TestScan::test_positive_only")),
+    # the l0 extension walks each shell in the ball's order, not by id, so
+    # it meets its winners in another order and asks about other vertices
+    Mutant("extension-walks-shells-unsorted", L0, "sorted(ball[start:end])",
+           "ball[start:end]",
+           ("tests/test_layer_counts.py::test_first_operation_counts[tester]",
+            "tests/test_filter_l0.py::TestExtension::test_asks_the_matching_only_about_winners",
+            "tests/test_filter_l0.py::TestAnchorCost::test_d14_anchor_lookups")),
     # every l0 answer is computed afresh, walking its ball again
     Mutant("l0-value-skips-memo", L0, "return self._answers[self.graph.index(x)]",
            "return self._value(self.graph.index(x))", (MEMO,)),
@@ -100,9 +113,10 @@ MUTANTS = [
            "lo = max(interval.lo, base.bounds.lo)", "lo = interval.lo", (FLOOR,)),
     # a two-way scan reaches only as far as a higher partner can sit
     Mutant("scan-reach-upward-only", SCAN, "radius = -(up if up < down else down) - 1",
-           "radius = -up - 1", (ENCLOSING,)),
+           "radius = -up - 1", (ENCLOSING, TIGHT)),
     # the upward scan stops one short of its reach
-    Mutant("upward-reach-short", SCAN, "radius = -up - 1", "radius = -up - 2", (ENCLOSING,)),
+    Mutant("upward-reach-short", SCAN, "radius = -up - 1", "radius = -up - 2",
+           (ENCLOSING, UPWARD_TIGHT)),
     # from_canon accepts any text that decodes to a vertex
     Mutant("from-canon-no-round-trip", "lipfilter/graphs.py",
            "if self.contains(x) and self.canon(x) == s:", "if self.contains(x):",
@@ -124,8 +138,8 @@ MUTANTS = [
            '"*": (1, operator.mul)', PRECEDENCE + (BRACKETS,)),
     # a right operand is parsed at its operator's own precedence, so
     # equal precedence nests to the right
-    Mutant("expr-right-associative", EXPRS, "self.expr(_OPS[op][0] + 1)",
-           "self.expr(_OPS[op][0])", LEFT_ASSOC),
+    Mutant("expr-right-associative", EXPRS, "self.expr(_OPS[op][0] + 1, level + 1)",
+           "self.expr(_OPS[op][0], level + 1)", LEFT_ASSOC),
     # a right child at equal precedence prints without brackets
     Mutant("format-right-child-bare", EXPRS, "fmt(e.right, prec + 1)", "fmt(e.right, prec)",
            (BRACKETS,)),

@@ -268,6 +268,20 @@ class TestErrors:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--expr", "(" * 1000 + "1" + ")" * 1000, "--domain", "cube:2",
+         "--range", "2"],
+        ["filter", "--mode", "l0", "--query", "01", "--expr", "+".join(["x1"] * 3000),
+         "--domain", "cube:2", "--range", "3000"],
+    ], ids=["deep brackets", "long sum"])
+    def test_too_deep_expression_exits_2(self, capsys, argv):
+        # both used to end in a RecursionError traceback
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: expression nested deeper than 200 levels")
+        assert captured.out == ""
+
     def test_missing_source_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["filter", "--all"])

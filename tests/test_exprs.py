@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lipfilter import DimensionError, InvalidInterval, ParseError
 from lipfilter.exprs import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Coord,
@@ -145,6 +146,43 @@ class TestParseErrors:
     def test_dimension_checked_at_eval(self):
         with pytest.raises(DimensionError):
             ev("x3", (1, 2))
+
+
+# 1,000 bracket pairs used to exhaust the parser's recursion, and a
+# 3,000-term sum parsed into a tree that exhausted evaluate's
+DEEP_BRACKETS = "(" * 1000 + "1" + ")" * 1000
+LONG_SUM = "+".join(["x1"] * 3000)
+
+
+class TestDepth:
+    """An operator, a call, a bracket pair and a leaf are each one level;
+    past MAX_DEPTH levels the parse fails at the token that goes deeper."""
+
+    @pytest.mark.parametrize("text, position", [
+        (DEEP_BRACKETS, MAX_DEPTH),
+        # the MAX_DEPTH-th '+' puts the first x1 MAX_DEPTH + 1 levels down
+        (LONG_SUM, 3 * MAX_DEPTH - 1),
+        ("min(" * 1000 + "1" + ")" * 1000, 4 * MAX_DEPTH),
+        ("1*(" * 1000 + "1" + ")" * 1000, 3 * (MAX_DEPTH // 2)),
+    ], ids=["brackets", "sum", "calls", "products"])
+    def test_too_deep_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError, match=rf"nested deeper than {MAX_DEPTH} levels "
+                                             rf"\(at {position}\)$"):
+            parse_expr(text)
+
+    def test_at_the_limit_parses_and_evaluates(self):
+        for text, value in [
+            ("(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1), 1),
+            ("+".join(["x1"] * MAX_DEPTH), MAX_DEPTH),
+            ("abs(" * (MAX_DEPTH - 1) + "2" + ")" * (MAX_DEPTH - 1), 2),
+        ]:
+            e = parse_expr(text)
+            assert evaluate(e, (1,)) == value
+            assert parse_expr(format_expr(e)) == e
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr("+".join(["x1"] * (MAX_DEPTH + 1)))
 
 
 def test_evaluate_rejects_a_non_node():

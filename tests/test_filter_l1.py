@@ -67,6 +67,20 @@ class TestSchedule:
         with pytest.raises(InvalidParam):
             make_schedule(4, 1).tau(6)
 
+    @pytest.mark.parametrize("r, slack", [(4, True), (True, 1), (False, 1), (4, False)])
+    def test_bools_rejected(self, r, slack):
+        # Fraction(True) is 1: slack True ran 5 rounds at r = 4, and r True
+        # ran as r = 1
+        with pytest.raises(InvalidParam, match="not a rational number"):
+            make_schedule(r, slack)
+
+    def test_filter_rejects_bool_slack(self):
+        g, f = two_path()
+        with pytest.raises(InvalidParam, match="not a rational number"):
+            LocalFilterL1(g, f, seed_of(0), slack=True)
+        # the same slack as a number is fine
+        assert LocalFilterL1(g, f, seed_of(0), slack=1).schedule.rounds == 5
+
 
 def two_path():
     g = ExplicitGraph(2, [(0, 1)])

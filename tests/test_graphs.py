@@ -335,7 +335,8 @@ class TestBall:
         assert max(held, default=0) <= 1
         ball = g.ball(0, 1)
         assert len(ball) == g.d + 1
-        assert ball == [(0, 0)] + [(1 << k, 1) for k in range(g.d)]
+        assert list(ball) == [0] + [1 << k for k in range(g.d)]
+        assert ball.ends == [1, g.d + 1]
 
     def test_membership_matches_dist(self):
         cube = Hypercube(4)
@@ -398,26 +399,53 @@ class TestIds:
 
     @pytest.mark.parametrize("g", ID_GRAPHS, ids=repr)
     def test_ball_equals_tuple_bfs(self, g):
-        # every radius up to past the farthest vertex, with the budget
-        # verdict at the ball's size and one below it; the ball of each
-        # radius is a prefix of the whole ball, in ids as in vertices
-        verts = list(g.vertices())
+        # shell by shell, each compared as a sorted list, at every radius up
+        # to past the farthest vertex, with the budget verdict at the
+        # ball's size and one below it; the ball of each radius is a prefix
+        # of the whole ball, in ids as in vertices
         rng = random.Random(g.n_vertices)
-        # every centre of a small graph; of a large one the first, the
-        # last and a random one, and past 2^9 vertices a random one only
-        centres = (verts if len(verts) <= 64 else [verts[0], verts[-1], rng.choice(verts)]
-                   if len(verts) <= 512 else [rng.choice(verts)])
-        for x in centres:
+        for x in self.centres(g, rng):
             want = tuple_bfs(g, x)
+            far = want[-1][1]
             i = g.index(x)
-            whole = g.ball(i, want[-1][1])
-            assert [(g.vertex(y), d) for y, d in whole] == want
-            dists = [d for _, d in whole]
-            for radius in range(want[-1][1] + 2):
-                size = bisect.bisect_right(dists, radius)
-                assert g.ball(i, radius, budget=size) == whole[:size]
+            whole = g.ball(i, far)
+            assert [sorted(map(g.vertex, shell)) for shell in whole.shells()] == [
+                [v for v, d in want if d == k] for k in range(far + 1)]
+            for radius in range(far + 2):
+                size = whole.ends[min(radius, far)]
+                ball = g.ball(i, radius, budget=size)
+                assert ball == whole[:size]
+                assert ball.ends == whole.ends[:radius + 1]
                 with pytest.raises(BudgetExceeded):
                     g.ball(i, radius, budget=size - 1)
+
+    @pytest.mark.parametrize("g", ID_GRAPHS, ids=repr)
+    def test_shells_partition_the_ball(self, g):
+        # every id once, ends strictly increasing from the centre's shell,
+        # the last end the ball's size, and a shell per distance walked
+        rng = random.Random(g.n_vertices)
+        for x in self.centres(g, rng):
+            i = g.index(x)
+            far = tuple_bfs(g, x)[-1][1]
+            for radius in range(far + 2):
+                ball = g.ball(i, radius)
+                ends = ball.ends
+                assert len(set(ball)) == len(ball)
+                assert ball[:1] == [i] and ends[0] == 1
+                assert all(a < b for a, b in zip(ends, ends[1:]))
+                assert ends[-1] == len(ball)
+                assert len(ends) == min(radius, far) + 1
+                assert [y for shell in ball.shells() for y in shell] == ball
+            empty = g.ball(i, -1)
+            assert (empty, empty.ends) == ([], [])
+
+    @staticmethod
+    def centres(g, rng):
+        """Every vertex of a small graph; of a large one the first, the
+        last and a random one, and past 2^9 vertices a random one only."""
+        verts = list(g.vertices())
+        return (verts if len(verts) <= 64 else [verts[0], verts[-1], rng.choice(verts)]
+                if len(verts) <= 512 else [rng.choice(verts)])
 
     @pytest.mark.parametrize("g, x, text", [
         (Hypercube(32), (0, 1) + (0,) * 30, "01" + "0" * 30),
